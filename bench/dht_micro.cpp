@@ -26,7 +26,6 @@
 #include "chord/ring.h"
 #include "common/rng.h"
 #include "net/network.h"
-#include "pastry/mesh.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -71,39 +70,6 @@ void BM_ChordLookup(benchmark::State& state) {
       total_latency / static_cast<double>(lookups);
 }
 BENCHMARK(BM_ChordLookup)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
-
-void BM_PastryLookup(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Simulator simulator;
-  net::Network network(simulator, Rng{1});
-  pastry::PastryConfig config;
-  config.run_maintenance = false;
-  pastry::PastryMesh mesh(network, config, Rng{2});
-  for (std::size_t i = 0; i < n; ++i) {
-    mesh.add_host(Guid::of(std::uint64_t{0xBEEF} + i * 2654435761ULL));
-  }
-  mesh.wire_instantly();
-
-  Rng rng{3};
-  double total_hops = 0;
-  std::uint64_t lookups = 0;
-  for (auto _ : state) {
-    bool done = false;
-    mesh.host(rng.index(n)).node().lookup(
-        Guid{rng.next()}, [&](pastry::Peer p, int hops) {
-          benchmark::DoNotOptimize(p);
-          total_hops += hops;
-          done = true;
-        });
-    simulator.run_until(simulator.now() + sim::SimTime::seconds(60));
-    benchmark::DoNotOptimize(done);
-    ++lookups;
-  }
-  state.counters["hops"] = total_hops / static_cast<double>(lookups);
-  state.counters["log16N"] =
-      std::log2(static_cast<double>(n)) / 4.0;
-}
-BENCHMARK(BM_PastryLookup)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_CanRoute(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -22,7 +22,7 @@
 // Flags: --messages=N (default 1M deliveries per cell), --smoke=1 (50k, for
 // CI), --json[=path] (one row per cell, BENCH_steady_state_micro.json by
 // default), --seed=S, --obs=1 (attach an enabled TraceBus to every cell's
-// network: the obs-on leg of CI's A/B against the default obs-off run),
+// network; CI keeps one such run as an artifact),
 // --detector=1 (append a heartbeat_storm_phi cell that runs a φ-accrual
 // detector per sender on the fan-in path — the A/B that bounds the
 // detector's bookkeeping cost; default output is unchanged),

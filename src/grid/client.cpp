@@ -35,7 +35,6 @@ void Client::schedule_job(std::uint64_t seq, double arrival_sec,
         collector_->on_submit(seq, net_.simulator().now());
         PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kJobSubmit, addr(),
                           obs::kNoActor, 0, seq);
-#ifndef PGRID_OBS_DISABLED
         // 1-in-N sampled jobs start a root span here; everything the job
         // causes — submission RPCs, matchmaking hops, dispatch, the result —
         // becomes a descendant span of it.
@@ -46,7 +45,6 @@ void Client::schedule_job(std::uint64_t seq, double arrival_sec,
                              addr(), obs::kNoActor, 0, seq);
           }
         }
-#endif
         submit(seq, config_.submit_retries);
         arm_deadline(seq);
       });
@@ -75,12 +73,10 @@ JobProfile Client::make_profile(std::uint64_t seq, PendingJob& job) {
 void Client::submit(std::uint64_t seq, int retries_left) {
   auto it = pending_.find(seq);
   if (it == pending_.end()) return;
-#ifndef PGRID_OBS_DISABLED
   // Submissions (and deadline-fired resubmissions, which arrive here from a
   // bare timer) run under the job's root span so the SubmitJob message and
   // the whole cascade behind it join the sampled trace.
   obs::SpanScope submit_scope(net_.trace(), it->second.ctx);
-#endif
   const net::NodeAddr injection = pool_[rng_.index(pool_.size())];
   auto msg = std::make_unique<SubmitJob>(make_profile(seq, it->second));
   rpc_.call(injection, std::move(msg), config_.rpc_timeout,
@@ -126,14 +122,12 @@ void Client::finish(std::uint64_t seq, bool completed_ok) {
   auto it = pending_.find(seq);
   if (it == pending_.end()) return;
   net_.simulator().cancel(it->second.deadline_event);
-#ifndef PGRID_OBS_DISABLED
   if (it->second.ctx.sampled()) {
     if (obs::TraceBus* bus = net_.trace(); bus != nullptr) {
       bus->record_span(obs::EventKind::kSpanEnd, it->second.ctx, addr(),
                        obs::kNoActor, 0, seq, completed_ok ? 1.0 : 0.0);
     }
   }
-#endif
   pending_.erase(it);
   if (completed_ok) {
     ++completed_;

@@ -821,11 +821,9 @@ void GridNode::on_dispatch(net::NodeAddr from, net::MessagePtr& msg) {
   q.profile = m->profile;
   q.owner = m->owner;
   q.phi.heartbeat(net_.simulator().now());
-#ifndef PGRID_OBS_DISABLED
   // Save the dispatch message's span: the handler runs under it now, but
   // execution completes from a timer later, outside any ambient context.
   if (obs::TraceBus* bus = net_.trace(); bus != nullptr) q.ctx = bus->current();
-#endif
   queue_.push_back(std::move(q));
   if (m->rpc_id != 0) {
     rpc_.reply(from, *m, std::make_unique<DispatchResp>(true, queue_length()));
@@ -839,11 +837,9 @@ void GridNode::maybe_start_next() {
   apply_queue_policy();
   executing_ = true;
   const QueuedJob& job = queue_.front();
-#ifndef PGRID_OBS_DISABLED
   // Attribute the start event to the dispatch span that queued this job
   // (this function is reached from timers as often as from handlers).
   obs::SpanScope start_scope(net_.trace(), job.ctx);
-#endif
   collector_->on_started(job.profile.seq, net_.simulator().now(),
                          static_cast<std::uint32_t>(addr()));
   PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kJobStart, addr(),
@@ -909,10 +905,8 @@ void GridNode::kill_front_for_quota() {
   last_served_client_ = job.profile.client;
   ++stats_.jobs_killed_quota;
   {
-#ifndef PGRID_OBS_DISABLED
     // Block-scoped so the next job's start is not attributed to this span.
     obs::SpanScope run_scope(net_.trace(), job.ctx);
-#endif
     // `v` is the occupied duration: the Chrome exporter renders the slice.
     PGRID_TRACE_EVENT(
         net_.trace(), obs::EventKind::kJobKilled, addr(),
@@ -944,10 +938,8 @@ void GridNode::complete_front() {
   last_served_client_ = job.profile.client;
   ++stats_.jobs_executed;
   {
-#ifndef PGRID_OBS_DISABLED
     // Block-scoped so the next job's start is not attributed to this span.
     obs::SpanScope run_scope(net_.trace(), job.ctx);
-#endif
     collector_->add_node_busy(index_, job.profile.runtime_sec());
     // `v` is the execution duration: the Chrome exporter renders the slice.
     PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kJobComplete, addr(),

@@ -11,6 +11,14 @@
 
 namespace pgrid::grid {
 
+namespace {
+
+Guid node_guid(std::uint64_t seed, std::size_t index) {
+  return Guid::of(hash_combine(mix64(seed), mix64(index)));
+}
+
+}  // namespace
+
 void apply_light_maintenance(GridNodeConfig* config) {
   PGRID_EXPECTS(config != nullptr);
   config->chord.stabilize_period = sim::SimTime::seconds(10.0);
@@ -79,57 +87,8 @@ void GridSystem::build() {
     net_->set_trace(trace_.get());
   }
 
-  Rng node_rng = rng_.fork(2);
-  nodes_.reserve(workload_.spec.node_count);
-  for (std::size_t i = 0; i < workload_.spec.node_count; ++i) {
-    const Guid id = Guid::of(hash_combine(mix64(config_.seed), mix64(i)));
-    nodes_.push_back(std::make_unique<GridNode>(
-        *net_, static_cast<std::uint32_t>(i), id, workload_.node_caps[i],
-        node_rng.uniform(), node_config, &central_, &collector_,
-        node_rng.fork(i)));
-    // Metrics and the central scheduler address nodes by network address;
-    // registering nodes first makes address == index.
-    PGRID_ASSERT(nodes_.back()->addr() == i);
-    central_.register_node(nodes_.back().get());
-  }
-
-  // Wire the overlay the matchmaker needs (instant bootstrap: the paper's
-  // experiments measure steady-state matchmaking, not join cost).
-  if (uses_chord(config_.kind)) {
-    std::vector<chord::ChordNode*> ring;
-    ring.reserve(nodes_.size());
-    for (auto& n : nodes_) ring.push_back(n->chord());
-    chord::wire_ring_instantly(ring);
-  } else if (uses_can(config_.kind)) {
-    std::vector<can::CanNode*> space;
-    space.reserve(nodes_.size());
-    for (auto& n : nodes_) space.push_back(n->can());
-    can::wire_space_instantly(space, kCanDims);
-  }
-  for (auto& n : nodes_) n->start();
-
-  // Clients and the job schedule.
-  std::vector<net::NodeAddr> pool;
-  pool.reserve(nodes_.size());
-  for (auto& n : nodes_) pool.push_back(n->addr());
-
-  Rng client_rng = rng_.fork(3);
-  clients_.reserve(workload_.spec.client_count);
-  for (std::size_t c = 0; c < workload_.spec.client_count; ++c) {
-    clients_.push_back(std::make_unique<Client>(
-        *net_, config_.client, &collector_, client_rng.fork(c)));
-    clients_.back()->set_injection_pool(pool);
-    clients_.back()->on_terminal = [this] { ++terminal_jobs_; };
-  }
-  for (std::size_t j = 0; j < workload_.jobs.size(); ++j) {
-    const workload::JobSpec& job = workload_.jobs[j];
-    if (!config_.manual_submission) {
-      clients_[job.client % clients_.size()]->schedule_job(
-          j, job.arrival_sec, job.constraints, job.runtime_sec,
-          job.declared_runtime_sec, job.output_kb);
-    }
-    last_arrival_sec_ = std::max(last_arrival_sec_, job.arrival_sec);
-  }
+  populate(node_config, {net_.get()}, {&collector_},
+           std::vector<std::uint32_t>(workload_.spec.node_count, 0));
 
   if (trace_ != nullptr) {
     for (const auto& n : nodes_) {
@@ -236,6 +195,8 @@ void GridSystem::build_sharded(const GridNodeConfig& node_config) {
   Rng net_rng = rng_.fork(1);
   shard_nets_.reserve(shards);
   shard_collectors_.reserve(shards);
+  std::vector<net::Network*> nets;
+  std::vector<metrics::Collector*> collectors;
   for (std::size_t s = 0; s < shards; ++s) {
     shard_nets_.push_back(std::make_unique<net::Network>(
         engine_->shard(s), net_rng.fork(s), config_.latency,
@@ -244,6 +205,8 @@ void GridSystem::build_sharded(const GridNodeConfig& node_config) {
     shard_collectors_.push_back(std::make_unique<metrics::Collector>(
         workload_.jobs.size(), workload_.spec.node_count,
         /*streaming=*/false));
+    nets.push_back(shard_nets_[s].get());
+    collectors.push_back(shard_collectors_[s].get());
   }
 
   // Partition nodes into contiguous Guid-order arcs (the ring order
@@ -253,9 +216,7 @@ void GridSystem::build_sharded(const GridNodeConfig& node_config) {
   const std::size_t n = workload_.spec.node_count;
   std::vector<Guid> ids;
   ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ids.push_back(Guid::of(hash_combine(mix64(config_.seed), mix64(i))));
-  }
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(node_guid(config_.seed, i));
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
@@ -263,58 +224,10 @@ void GridSystem::build_sharded(const GridNodeConfig& node_config) {
   const sim::ShardPlan plan =
       sim::plan_shards(order, static_cast<std::uint32_t>(shards));
 
-  // Node construction mirrors the sequential loop exactly — same node_rng
-  // draw order, same addr == index invariant (registration goes through the
-  // bus's global directory regardless of which shard's Network is used).
-  Rng node_rng = rng_.fork(2);
-  nodes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<GridNode>(
-        *shard_nets_[plan.shard_of[i]], static_cast<std::uint32_t>(i), ids[i],
-        workload_.node_caps[i], node_rng.uniform(), node_config, &central_,
-        shard_collectors_[plan.shard_of[i]].get(), node_rng.fork(i)));
-    PGRID_ASSERT(nodes_.back()->addr() == i);
-    central_.register_node(nodes_.back().get());
-  }
-
-  if (uses_chord(config_.kind)) {
-    std::vector<chord::ChordNode*> ring;
-    ring.reserve(nodes_.size());
-    for (auto& node : nodes_) ring.push_back(node->chord());
-    chord::wire_ring_instantly(ring);
-  } else {
-    std::vector<can::CanNode*> space;
-    space.reserve(nodes_.size());
-    for (auto& node : nodes_) space.push_back(node->can());
-    can::wire_space_instantly(space, kCanDims);
-  }
-  for (auto& node : nodes_) node->start();
-
-  std::vector<net::NodeAddr> pool;
-  pool.reserve(nodes_.size());
-  for (auto& node : nodes_) pool.push_back(node->addr());
-
-  // Clients round-robin across shards; their rng streams and addresses are
-  // shard-count-independent (fork(c) and sequential bus registration).
-  Rng client_rng = rng_.fork(3);
-  clients_.reserve(workload_.spec.client_count);
-  for (std::size_t c = 0; c < workload_.spec.client_count; ++c) {
-    const std::size_t s = c % shards;
-    clients_.push_back(std::make_unique<Client>(
-        *shard_nets_[s], config_.client, shard_collectors_[s].get(),
-        client_rng.fork(c)));
-    clients_.back()->set_injection_pool(pool);
-    clients_.back()->on_terminal = [this] {
-      terminal_jobs_.fetch_add(1, std::memory_order_relaxed);
-    };
-  }
-  for (std::size_t j = 0; j < workload_.jobs.size(); ++j) {
-    const workload::JobSpec& job = workload_.jobs[j];
-    clients_[job.client % clients_.size()]->schedule_job(
-        j, job.arrival_sec, job.constraints, job.runtime_sec,
-        job.declared_runtime_sec, job.output_kb);
-    last_arrival_sec_ = std::max(last_arrival_sec_, job.arrival_sec);
-  }
+  // Same construction as the sequential build; registration goes through
+  // the bus's global directory, so addr == index holds whichever shard's
+  // Network a node or client uses.
+  populate(node_config, nets, collectors, plan.shard_of);
 
   bus_->freeze();
   engine_->set_drain([bus = bus_.get()](std::size_t s) {
@@ -324,6 +237,66 @@ void GridSystem::build_sharded(const GridNodeConfig& node_config) {
     sim::Simulator* clock = &engine_->shard(s);
     Logger::set_time_source([clock] { return clock->now().sec(); });
   });
+}
+
+void GridSystem::populate(const GridNodeConfig& node_config,
+                          const std::vector<net::Network*>& nets,
+                          const std::vector<metrics::Collector*>& collectors,
+                          const std::vector<std::uint32_t>& shard_of) {
+  Rng node_rng = rng_.fork(2);
+  nodes_.reserve(workload_.spec.node_count);
+  for (std::size_t i = 0; i < workload_.spec.node_count; ++i) {
+    nodes_.push_back(std::make_unique<GridNode>(
+        *nets[shard_of[i]], static_cast<std::uint32_t>(i),
+        node_guid(config_.seed, i), workload_.node_caps[i], node_rng.uniform(),
+        node_config, &central_, collectors[shard_of[i]], node_rng.fork(i)));
+    // Metrics and the central scheduler address nodes by network address;
+    // registering nodes first makes address == index.
+    PGRID_ASSERT(nodes_.back()->addr() == i);
+    central_.register_node(nodes_.back().get());
+  }
+
+  // Wire the overlay the matchmaker needs (instant bootstrap: the paper's
+  // experiments measure steady-state matchmaking, not join cost).
+  if (uses_chord(config_.kind)) {
+    std::vector<chord::ChordNode*> ring;
+    ring.reserve(nodes_.size());
+    for (auto& n : nodes_) ring.push_back(n->chord());
+    chord::wire_ring_instantly(ring);
+  } else if (uses_can(config_.kind)) {
+    std::vector<can::CanNode*> space;
+    space.reserve(nodes_.size());
+    for (auto& n : nodes_) space.push_back(n->can());
+    can::wire_space_instantly(space, kCanDims);
+  }
+  for (auto& n : nodes_) n->start();
+
+  // Clients and the job schedule. Clients round-robin across shards; their
+  // rng streams and addresses are shard-count-independent.
+  std::vector<net::NodeAddr> pool;
+  pool.reserve(nodes_.size());
+  for (auto& n : nodes_) pool.push_back(n->addr());
+
+  Rng client_rng = rng_.fork(3);
+  clients_.reserve(workload_.spec.client_count);
+  for (std::size_t c = 0; c < workload_.spec.client_count; ++c) {
+    const std::size_t s = c % nets.size();
+    clients_.push_back(std::make_unique<Client>(
+        *nets[s], config_.client, collectors[s], client_rng.fork(c)));
+    clients_.back()->set_injection_pool(pool);
+    clients_.back()->on_terminal = [this] {
+      terminal_jobs_.fetch_add(1, std::memory_order_relaxed);
+    };
+  }
+  for (std::size_t j = 0; j < workload_.jobs.size(); ++j) {
+    const workload::JobSpec& job = workload_.jobs[j];
+    if (!config_.manual_submission) {
+      clients_[job.client % clients_.size()]->schedule_job(
+          j, job.arrival_sec, job.constraints, job.runtime_sec,
+          job.declared_runtime_sec, job.output_kb);
+    }
+    last_arrival_sec_ = std::max(last_arrival_sec_, job.arrival_sec);
+  }
 }
 
 void GridSystem::register_builtin_metrics() {

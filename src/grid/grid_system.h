@@ -206,6 +206,14 @@ class GridSystem {
   [[nodiscard]] Peer find_bootstrap(std::size_t excluding) const;
   void register_builtin_metrics();
   void build_sharded(const GridNodeConfig& node_config);
+  /// Construction shared by both engines: nodes, overlay wiring, clients and
+  /// the job schedule. Node i runs on nets[shard_of[i]] and reports to
+  /// collectors[shard_of[i]]; client c uses index c % nets.size(). Consumes
+  /// rng_.fork(2) for nodes, then rng_.fork(3) for clients.
+  void populate(const GridNodeConfig& node_config,
+                const std::vector<net::Network*>& nets,
+                const std::vector<metrics::Collector*>& collectors,
+                const std::vector<std::uint32_t>& shard_of);
   /// Rebuild collector_ from the per-shard collectors (sharded mode; no-op
   /// sequentially). Idempotent — called after every run()/run_for() leg.
   void merge_shard_metrics();

@@ -53,7 +53,6 @@ void Collector::on_matched(std::uint64_t seq, sim::SimTime t, int hops,
       it->second.matched = true;
       match_hops_stats_.add(static_cast<double>(hops));
     }
-    it->second.run_node = run_node;
     return;
   }
   JobOutcome& j = jobs_.at(seq);
@@ -65,32 +64,24 @@ void Collector::on_matched(std::uint64_t seq, sim::SimTime t, int hops,
 }
 
 void Collector::on_started(std::uint64_t seq, sim::SimTime t,
-                           std::uint32_t run_node) {
+                           std::uint32_t start_node) {
   if (streaming_) {
     auto it = inflight_.find(seq);
     if (it == inflight_.end() || it->second.started) return;
     it->second.started = true;
-    ++started_n_;
     if (it->second.submit_sec != JobOutcome::kNever) {
       const double wait = t.sec() - it->second.submit_sec;
       wait_stats_.add(wait);
       wait_hist_.add(wait);
     }
-    if (it->second.run_node < node_jobs_.size()) {
-      ++node_jobs_[it->second.run_node];
-    }
-    return;
-  }
-  JobOutcome& j = jobs_.at(seq);
-  if (j.started_sec == JobOutcome::kNever) {
+  } else {
+    JobOutcome& j = jobs_.at(seq);
+    if (j.started_sec != JobOutcome::kNever) return;
     j.started_sec = t.sec();
-    j.start_node = run_node == kUnknownNode ? j.run_node : run_node;
-    ++started_n_;
-    // node_jobs_ attribution keeps the historical rule (last matched run
-    // node) so fixed-seed sequential outputs stay byte-identical; the merge
-    // path recomputes from start_node instead.
-    if (j.run_node < node_jobs_.size()) ++node_jobs_[j.run_node];
+    j.start_node = start_node;
   }
+  ++started_n_;
+  if (start_node < node_jobs_.size()) ++node_jobs_[start_node];
 }
 
 void Collector::on_completed(std::uint64_t seq, sim::SimTime t) {

@@ -39,9 +39,9 @@ struct JobOutcome {
   std::uint32_t run_node = 0;
   /// The node that actually began execution (recorded by on_started's
   /// caller). Usually equals run_node; they diverge when a lost dispatch
-  /// reply makes the owner re-match while the first run node proceeds. The
-  /// sharded merge rebuilds node_jobs_ from this field — unlike run_node it
-  /// is a shard-local fact of the started event.
+  /// reply makes the owner re-match while the first run node proceeds, and
+  /// run_node is still unset while the owner's match record is in flight.
+  /// Per-node job counts are credited here.
   std::uint32_t start_node = 0;
   bool unmatched = false;         // matchmaking gave up
 
@@ -69,12 +69,11 @@ class Collector {
   void on_owner(std::uint64_t seq, sim::SimTime t, int injection_hops);
   void on_matched(std::uint64_t seq, sim::SimTime t, int hops,
                   std::uint32_t run_node);
-  /// `run_node` is the caller's own address (the node beginning execution);
-  /// callers that do not know it (legacy tests) omit it and the record falls
-  /// back to the last matched run node.
-  static constexpr std::uint32_t kUnknownNode = 0xffffffffu;
-  void on_started(std::uint64_t seq, sim::SimTime t,
-                  std::uint32_t run_node = kUnknownNode);
+  /// `start_node` is the caller's own address (the node beginning
+  /// execution); per-node job counts credit it. The owner's on_matched can
+  /// arrive later than the start on a remote dispatch, so run_node is not
+  /// yet reliable here.
+  void on_started(std::uint64_t seq, sim::SimTime t, std::uint32_t start_node);
   void on_completed(std::uint64_t seq, sim::SimTime t);
   void on_resubmit(std::uint64_t seq);
   void on_requeue(std::uint64_t seq);
@@ -134,6 +133,10 @@ class Collector {
 
   /// Jobs executed per node — load-balance dispersion across the system.
   [[nodiscard]] RunningStats jobs_per_node() const;
+  /// Jobs started on each node, indexed by node address.
+  [[nodiscard]] const std::vector<std::uint32_t>& node_jobs() const noexcept {
+    return node_jobs_;
+  }
   /// Busy seconds per node.
   [[nodiscard]] RunningStats busy_per_node() const;
   /// Completion makespan (latest completion time).
@@ -160,7 +163,6 @@ class Collector {
     double submit_sec = JobOutcome::kNever;
     double owner_sec = JobOutcome::kNever;
     int injection_hops = 0;
-    std::uint32_t run_node = 0;
     bool matched = false;
     bool started = false;
     bool unmatched = false;

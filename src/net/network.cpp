@@ -122,7 +122,6 @@ void Network::deliver(NodeAddr from, NodeAddr to, sim::SimTime delay,
         stats_.bytes_delivered += wire_bytes;
         PGRID_TRACE_EVENT(trace_, obs::EventKind::kMsgDeliver, to, from, tag,
                           msg->rpc_id, static_cast<double>(wire_bytes));
-#ifndef PGRID_OBS_DISABLED
         if (trace_ != nullptr && msg->trace.sampled()) {
           // End the hop span (its duration is the one-way latency) and run
           // the handler under the message's context, so every message it
@@ -133,7 +132,6 @@ void Network::deliver(NodeAddr from, NodeAddr to, sim::SimTime delay,
           dispatch(from, to, std::move(msg));
           return;
         }
-#endif
         dispatch(from, to, std::move(msg));
       });
 }
@@ -253,7 +251,6 @@ void Network::send(NodeAddr from, NodeAddr to, MessagePtr msg) {
   PGRID_TRACE_EVENT(trace_, obs::EventKind::kMsgSend, from, to, tag,
                     msg->rpc_id, static_cast<double>(wire_bytes));
 
-#ifndef PGRID_OBS_DISABLED
   // Causal propagation: a message sent while a sampled span is ambient
   // becomes a child span of it. The span begins here (hand-off to the
   // network); it ends at delivery — or never, making drops visible.
@@ -264,7 +261,6 @@ void Network::send(NodeAddr from, NodeAddr to, MessagePtr msg) {
                           tag, msg->rpc_id, static_cast<double>(wire_bytes));
     }
   }
-#endif
 
   if (!alive_[from]) {
     ++stats_.messages_dropped_dead;

@@ -64,9 +64,7 @@ std::uint64_t RpcEndpoint::call(NodeAddr to, MessagePtr request,
   p.live = true;
   p.k = std::move(k);
   p.ctx = obs::TraceContext{};
-#ifndef PGRID_OBS_DISABLED
   if (obs::TraceBus* bus = net_.trace(); bus != nullptr) p.ctx = bus->current();
-#endif
   ++outstanding_;
   const std::uint64_t id =
       stream_ << 32 | std::uint64_t{p.generation} << 16 | slot;
@@ -79,16 +77,12 @@ std::uint64_t RpcEndpoint::call(NodeAddr to, MessagePtr request,
     Pending* pending = find_pending(id);
     if (pending == nullptr) return;
     Continuation cont = std::move(pending->k);
-#ifndef PGRID_OBS_DISABLED
     const obs::TraceContext caller_ctx = pending->ctx;
-#endif
     release_pending(static_cast<std::uint16_t>(id & 0xffff));
     ++timeouts_;
     PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kRpcTimeout, self_, to, 0,
                       id);
-#ifndef PGRID_OBS_DISABLED
     obs::SpanScope scope(net_.trace(), caller_ctx);
-#endif
     cont(nullptr);
   });
 
@@ -122,18 +116,14 @@ void RpcEndpoint::call_retry(NodeAddr to, std::function<MessagePtr()> make,
   st->policy = policy;
   st->started = net_.simulator().now();
   st->prev_backoff = policy.base_backoff;
-#ifndef PGRID_OBS_DISABLED
   if (obs::TraceBus* bus = net_.trace(); bus != nullptr) {
     st->ctx = bus->current();
   }
-#endif
   retry_attempt(std::move(st));
 }
 
 void RpcEndpoint::retry_attempt(std::shared_ptr<RetryState> st) {
-#ifndef PGRID_OBS_DISABLED
   obs::SpanScope span_scope(net_.trace(), st->ctx);
-#endif
   const RetryPolicy& policy = st->policy;
   sim::SimTime timeout = sim::SimTime::nanos(static_cast<std::int64_t>(
       static_cast<double>(policy.base_timeout.ns()) *

@@ -2,12 +2,11 @@
 // Trace bus: typed, sim-timestamped events in a per-run ring buffer.
 //
 // Producers call record() through the PGRID_TRACE_EVENT macro, which is a
-// null-pointer test when tracing is wired but off and compiles away entirely
-// under -DPGRID_OBS_DISABLED. Events are fixed-size (no allocation on the
-// hot path); the ring overwrites the oldest events when full and counts what
-// it dropped. Exporters emit JSONL (one object per event) and Chrome
-// trace_event JSON (one "thread" per node, viewable in Perfetto or
-// chrome://tracing).
+// null-pointer test when tracing is wired but off. Events are fixed-size (no
+// allocation on the hot path); the ring overwrites the oldest events when
+// full and counts what it dropped. Exporters emit JSONL (one object per
+// event) and Chrome trace_event JSON (one "thread" per node, viewable in
+// Perfetto or chrome://tracing).
 
 #include <cstddef>
 #include <cstdint>
@@ -259,15 +258,9 @@ class SpanScope {
 }  // namespace pgrid::obs
 
 // Instrumentation entry point: `bus` is a (possibly null) obs::TraceBus*.
-// Wired-but-off costs one branch; PGRID_OBS_DISABLED removes the call site.
-#ifndef PGRID_OBS_DISABLED
+// Wired-but-off costs one branch.
 #define PGRID_TRACE_EVENT(bus, ...)                       \
   do {                                                    \
     ::pgrid::obs::TraceBus* pgrid_tb_ = (bus);            \
     if (pgrid_tb_ != nullptr) pgrid_tb_->record(__VA_ARGS__); \
   } while (0)
-#else
-#define PGRID_TRACE_EVENT(bus, ...) \
-  do {                              \
-  } while (0)
-#endif

@@ -165,6 +165,30 @@ TEST(GridLifecycle, NodeStatsAccumulate) {
   EXPECT_EQ(total.run_recoveries, 0u);
 }
 
+// Without churn every job starts exactly once, so the collector's per-node
+// start counts must equal what each node itself executed — including remote
+// dispatches, where the start precedes the owner's match record.
+TEST(GridLifecycle, CollectorNodeCountsMatchNodeStats) {
+  for (const MatchmakerKind kind :
+       {MatchmakerKind::kRnTree, MatchmakerKind::kCanPush}) {
+    for (const bool streaming : {false, true}) {
+      GridConfig config = base_config(kind);
+      config.obs.streaming_metrics = streaming;
+      GridSystem system(config, tiny_workload());
+      system.run();
+      ASSERT_TRUE(system.finished()) << matchmaker_name(kind);
+      const std::vector<std::uint32_t>& counts =
+          system.collector().node_jobs();
+      ASSERT_EQ(counts.size(), system.node_count());
+      for (std::size_t i = 0; i < system.node_count(); ++i) {
+        EXPECT_EQ(counts[i], system.node(i).stats().jobs_executed)
+            << matchmaker_name(kind) << " streaming=" << streaming
+            << " node " << i;
+      }
+    }
+  }
+}
+
 TEST(GridLifecycle, NetworkTrafficIsAccounted) {
   GridSystem system(base_config(MatchmakerKind::kRnTree), tiny_workload());
   system.run();

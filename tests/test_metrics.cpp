@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "metrics/metrics.h"
 
@@ -16,7 +17,7 @@ TEST(Collector, LifecycleTimestamps) {
   c.on_submit(0, SimTime::seconds(1.0));
   c.on_owner(0, SimTime::seconds(1.2), 4);
   c.on_matched(0, SimTime::seconds(1.5), 3, 2);
-  c.on_started(0, SimTime::seconds(2.0));
+  c.on_started(0, SimTime::seconds(2.0), 2);
   c.on_completed(0, SimTime::seconds(12.0));
 
   const JobOutcome& j = c.job(0);
@@ -35,17 +36,17 @@ TEST(Collector, FirstSubmitAndStartWin) {
   Collector c(1, 1);
   c.on_submit(0, SimTime::seconds(1.0));
   c.on_submit(0, SimTime::seconds(5.0));  // resubmission does not reset
-  c.on_started(0, SimTime::seconds(7.0));
-  c.on_started(0, SimTime::seconds(9.0));  // duplicate execution
+  c.on_started(0, SimTime::seconds(7.0), 0);
+  c.on_started(0, SimTime::seconds(9.0), 0);  // duplicate execution
   EXPECT_DOUBLE_EQ(c.job(0).wait_sec(), 6.0);
 }
 
 TEST(Collector, WaitTimesOnlyCoverStartedJobs) {
   Collector c(3, 1);
   c.on_submit(0, SimTime::seconds(0.0));
-  c.on_started(0, SimTime::seconds(4.0));
+  c.on_started(0, SimTime::seconds(4.0), 0);
   c.on_submit(1, SimTime::seconds(0.0));
-  c.on_started(1, SimTime::seconds(8.0));
+  c.on_started(1, SimTime::seconds(8.0), 0);
   c.on_submit(2, SimTime::seconds(0.0));  // never started
   const Samples waits = c.wait_times();
   EXPECT_EQ(waits.count(), 2u);
@@ -70,7 +71,7 @@ TEST(Collector, PerNodeLoadAccounting) {
   for (std::uint64_t j = 0; j < 4; ++j) {
     c.on_submit(j, SimTime::seconds(0.0));
     c.on_matched(j, SimTime::seconds(1.0), 0, j % 2);  // nodes 0 and 1 only
-    c.on_started(j, SimTime::seconds(1.0));
+    c.on_started(j, SimTime::seconds(1.0), j % 2);
   }
   c.add_node_busy(0, 10.0);
   c.add_node_busy(0, 5.0);
@@ -84,10 +85,25 @@ TEST(Collector, PerNodeLoadAccounting) {
   EXPECT_DOUBLE_EQ(busy.sum(), 18.0);
 }
 
+// On a remote dispatch the run node starts the job before the owner's
+// on_matched record names that node; the start still counts at the node
+// that began execution, in both storage modes.
+TEST(Collector, StartBeforeMatchCreditsStartingNode) {
+  for (const bool streaming : {false, true}) {
+    Collector c(1, 3, streaming);
+    c.on_submit(0, SimTime::seconds(0.0));
+    c.on_started(0, SimTime::seconds(1.0), 2);
+    c.on_matched(0, SimTime::seconds(1.1), 4, 2);
+    EXPECT_EQ(c.node_jobs(), (std::vector<std::uint32_t>{0, 0, 1}))
+        << "streaming=" << streaming;
+    EXPECT_EQ(c.started_count(), 1u);
+  }
+}
+
 TEST(Collector, SummaryMentionsCompletion) {
   Collector c(2, 1);
   c.on_submit(0, SimTime::seconds(0.0));
-  c.on_started(0, SimTime::seconds(2.0));
+  c.on_started(0, SimTime::seconds(2.0), 0);
   c.on_completed(0, SimTime::seconds(3.0));
   const std::string s = c.summary();
   EXPECT_NE(s.find("completed 1/2"), std::string::npos);
@@ -111,7 +127,7 @@ TEST(Collector, StreamingMatchesBatchAggregates) {
     c.on_submit(0, SimTime::seconds(0.0));
     c.on_owner(0, SimTime::seconds(0.5), 2);
     c.on_matched(0, SimTime::seconds(1.0), 3, 1);
-    c.on_started(0, SimTime::seconds(2.0));
+    c.on_started(0, SimTime::seconds(2.0), 1);
     c.on_completed(0, SimTime::seconds(10.0));
     // Job 1: duplicate submit/start (first wins), requeue, re-dispatch with
     // new injection hops (last wins), then completes.
@@ -123,8 +139,8 @@ TEST(Collector, StreamingMatchesBatchAggregates) {
     c.on_resubmit(1);
     c.on_owner(1, SimTime::seconds(5.0), 1);
     c.on_matched(1, SimTime::seconds(6.0), 2, 0);
-    c.on_started(1, SimTime::seconds(7.0));
-    c.on_started(1, SimTime::seconds(8.0));
+    c.on_started(1, SimTime::seconds(7.0), 0);
+    c.on_started(1, SimTime::seconds(8.0), 0);
     c.on_completed(1, SimTime::seconds(20.0));
     // Job 2: submitted, never matched.
     c.on_submit(2, SimTime::seconds(3.0));
@@ -132,7 +148,7 @@ TEST(Collector, StreamingMatchesBatchAggregates) {
     // Job 3: started but never completes (killed / lost).
     c.on_submit(3, SimTime::seconds(4.0));
     c.on_matched(3, SimTime::seconds(5.0), 1, 0);
-    c.on_started(3, SimTime::seconds(6.0));
+    c.on_started(3, SimTime::seconds(6.0), 0);
     c.add_node_busy(0, 12.0);
     c.add_node_busy(1, 8.0);
   };
@@ -184,7 +200,7 @@ TEST(Collector, StreamingMatchesBatchAggregates) {
 TEST(Collector, StreamingModeSkipsPerJobRecords) {
   Collector stream(1000000, 4, /*streaming=*/true);
   stream.on_submit(17, SimTime::seconds(1.0));
-  stream.on_started(17, SimTime::seconds(2.0));
+  stream.on_started(17, SimTime::seconds(2.0), 0);
   stream.on_completed(17, SimTime::seconds(3.0));
   EXPECT_EQ(stream.job_count(), 1000000u);
   EXPECT_EQ(stream.completed_count(), 1u);

@@ -274,9 +274,6 @@ TEST(NetworkStats, DroppedMessagesAreNotCountedDelivered) {
 // --- end-to-end: a traced grid run ------------------------------------------
 
 TEST(GridObservability, TracedRunRecordsOrderedJobLifecycle) {
-#ifdef PGRID_OBS_DISABLED
-  GTEST_SKIP() << "observability call sites compiled out";
-#endif
   workload::WorkloadSpec spec;
   spec.node_count = 10;
   spec.job_count = 20;
@@ -340,7 +337,7 @@ TEST(Report, WaitHistogramAllEqualWaitsGetsOneFullBucket) {
   Collector c(3, 1);
   for (std::uint64_t seq = 0; seq < 3; ++seq) {
     c.on_submit(seq, SimTime::seconds(static_cast<double>(seq)));
-    c.on_started(seq, SimTime::seconds(static_cast<double>(seq) + 2.0));
+    c.on_started(seq, SimTime::seconds(static_cast<double>(seq) + 2.0), 0);
     c.on_completed(seq, SimTime::seconds(static_cast<double>(seq) + 4.0));
   }
   const std::string h = wait_histogram(c);
@@ -353,7 +350,7 @@ TEST(Report, WaitHistogramAllZeroWaits) {
   Collector c(2, 1);
   for (std::uint64_t seq = 0; seq < 2; ++seq) {
     c.on_submit(seq, SimTime::seconds(1.0));
-    c.on_started(seq, SimTime::seconds(1.0));  // zero wait
+    c.on_started(seq, SimTime::seconds(1.0), 0);  // zero wait
     c.on_completed(seq, SimTime::seconds(2.0));
   }
   const std::string h = wait_histogram(c);

@@ -96,9 +96,6 @@ workload::WorkloadSpec small_spec(std::uint64_t seed) {
 }
 
 TEST(CausalTracing, SampledJobsProduceCrossNodeSpanTrees) {
-#ifdef PGRID_OBS_DISABLED
-  GTEST_SKIP() << "observability call sites compiled out";
-#endif
   grid::GridSystem system(traced_config(4), workload::generate(small_spec(7)));
   system.run();
   TraceBus* bus = system.trace_bus();

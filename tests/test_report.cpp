@@ -18,10 +18,10 @@ Collector sample_collector() {
   c.on_submit(0, SimTime::seconds(0.0));
   c.on_owner(0, SimTime::seconds(0.2), 3);
   c.on_matched(0, SimTime::seconds(0.5), 2, 1);
-  c.on_started(0, SimTime::seconds(1.0));
+  c.on_started(0, SimTime::seconds(1.0), 1);
   c.on_completed(0, SimTime::seconds(11.0));
   c.on_submit(1, SimTime::seconds(0.5));
-  c.on_started(1, SimTime::seconds(21.0));
+  c.on_started(1, SimTime::seconds(21.0), 0);
   c.on_completed(1, SimTime::seconds(30.0));
   c.on_submit(2, SimTime::seconds(1.0));  // never started
   c.on_unmatched(2);
