@@ -30,8 +30,9 @@ namespace pgrid::bench {
 ///     anti_entropy_repairs, recovery_latency_p50/p99)
 ///  4: adds maintenance-batching fields (batching flag, batches_sent,
 ///     batch_parts_sent, batches_delivered, batch_parts_delivered)
-///  5: adds sharded-execution fields (shards = worker shard count, 0 for the
-///     sequential engine; wall_ms = build+run wall clock in milliseconds)
+///  5: adds sharded-execution fields (shards = configured shard count, 0 and
+///     1 both meaning one shard; wall_ms = build+run wall clock in
+///     milliseconds)
 inline constexpr int kBenchJsonSchemaVersion = 5;
 
 /// Build flavor baked into every JSON row so downstream tooling (and
@@ -162,9 +163,9 @@ struct CellResult {
   std::uint64_t batch_parts_sent = 0;
   std::uint64_t batches_delivered = 0;
   std::uint64_t batch_parts_delivered = 0;
-  // Sharded execution (DESIGN.md §17): shard count the cell ran with (0 =
-  // sequential engine) and total wall clock, the quantity the sharded
-  // speedup series compares.
+  // Sharded execution (DESIGN.md §17): shard count the cell was configured
+  // with (0 and 1 both run one shard) and total wall clock, the quantity the
+  // sharded speedup series compares.
   std::uint64_t shards = 0;
   double wall_ms = 0.0;
   // Profiling (wall clock of the simulator itself, not sim time).
@@ -241,8 +242,8 @@ inline CellResult summarize(const grid::GridSystem& system) {
   r.wall_ms = (r.build_wall_sec + r.run_wall_sec) * 1000.0;
   r.sim_events = system.profile().events();
   r.events_per_wall_sec = system.profile().events_per_sec();
-  // Engine-agnostic peaks: the sharded engine's Simulators are per-shard, so
-  // system.simulator() would read an empty queue there.
+  // Engine-wide peaks: with several shards each Simulator holds one shard's
+  // queue, and system.simulator() is defined for one shard only.
   r.sim_queue_peak = system.sim_queue_peak();
   r.sim_tombstone_peak = system.sim_tombstone_peak();
   r.resubmissions = c.total_resubmissions();

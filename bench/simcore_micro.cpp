@@ -260,14 +260,12 @@ CellResult bench_shard_handoff(std::uint64_t target) {
   net::ShardBus bus(2, /*seed=*/42);
   const net::LatencyModel latency{sim::SimTime::millis(1),
                                   sim::SimTime::millis(2)};
-  net::Network net0(engine.shard(0), Rng{1}, latency);
-  net::Network net1(engine.shard(1), Rng{2}, latency);
-  bus.attach(0, net0);
-  bus.attach(1, net1);
+  net::Network net0(engine.shard(0), Rng{1}, latency, 0.0, &bus, 0);
+  net::Network net1(engine.shard(1), Rng{2}, latency, 0.0, &bus, 1);
   HandoffPeer a(net0);
   HandoffPeer b(net1);
-  a.self = bus.register_handler(&a, 0);
-  b.self = bus.register_handler(&b, 1);
+  a.self = net0.add_handler(&a);
+  b.self = net1.add_handler(&b);
   a.peer = b.self;
   b.peer = a.self;
   a.batch = b.batch = kBatch;

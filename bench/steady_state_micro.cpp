@@ -1,17 +1,16 @@
 // Steady-state hot-path microbenchmark (DESIGN.md §13): the send ->
 // deliver -> handler cycle that dominates every experiment's wall clock,
-// isolated from matchmaking logic so pool recycling and the plain-delivery
-// fast path are directly visible.
+// isolated from matchmaking logic so pool recycling and the per-send cost
+// are directly visible.
 //
 // Cells:
 //   ping_pong        — closed-loop request/response between two handlers on
-//                      a plain network (fast path active). Every delivery
+//                      a lossless network. Every delivery
 //                      frees one pooled message and the response allocates
 //                      one, so the pool's reuse fraction approaches 1.
 //   ping_pong_lossy  — identical topology with a vanishingly small base
-//                      loss probability, which disables the plain-delivery
-//                      predicate: the per-send cost of the general path,
-//                      for comparison against ping_pong.
+//                      loss probability, which adds one loss draw per
+//                      send, for comparison against ping_pong.
 //   clone_fanout     — one sender clones a message to 32 receivers per
 //                      round (the ZoneUpdate broadcast shape); exercises
 //                      clone() through the pool.

@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
     gc.node.queue_policy = grid::QueuePolicy::kFairShare;
   }
   gc.node.runaway_kill_factor = config.get_double("kill-factor", 0.0);
-  // --shards=N runs the conservative-lookahead sharded engine (DESIGN.md
-  // §17). Overlay matchmakers only; incompatible with churn/trace/timeseries
-  // (build_sharded rejects those combinations).
+  // --shards=N runs N conservative-lookahead shards (DESIGN.md §17); 0 and 1
+  // both mean one shard. Several shards take overlay matchmakers only and
+  // reject churn/trace/timeseries/metrics-out.
   gc.shards = static_cast<std::size_t>(config.get_int("shards", 0));
 
   // --- failure detection / anti-entropy ------------------------------------

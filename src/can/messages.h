@@ -72,13 +72,17 @@ struct RouteResp final : net::Message {
 struct JoinReq final : net::Message {
   static constexpr std::uint16_t kType = kJoinReq;
 
-  JoinReq(Peer j, Point p) : Message(kType), joiner(j), point(p) {}
+  JoinReq(Peer j, Point p, std::uint64_t s)
+      : Message(kType), joiner(j), point(p), seq(s) {}
 
   Peer joiner;
   Point point;
+  /// The joiner's ZoneUpdate counter when it asked: every claim it sent
+  /// before is stale from the owner's point of view.
+  std::uint64_t seq = 0;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + point.dims() * 8;
+    return 12 + point.dims() * 8 + 8;
   }
   PGRID_MESSAGE_CLONE(JoinReq)
 };
@@ -90,11 +94,14 @@ struct JoinResp final : net::Message {
 
   bool accepted = false;
   Zone zone;  // the joiner's new zone
+  /// The owner's ZoneUpdate counter at the split: its claims with this seq
+  /// or lower predate the grant.
+  std::uint64_t seq = 0;
   /// The splitting owner and its neighbors: the joiner's initial contacts.
   std::vector<NeighborInfo> contacts;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    std::size_t s = 1 + 2 * kMaxDims * 8;
+    std::size_t s = 1 + 2 * kMaxDims * 8 + 8;
     for (const auto& c : contacts) s += 12 + 8 + c.zones.size() * 2 * kMaxDims * 8;
     return s;
   }

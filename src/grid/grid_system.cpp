@@ -33,12 +33,30 @@ void apply_light_maintenance(GridNodeConfig* config) {
 GridSystem::GridSystem(GridConfig config, workload::Workload workload)
     : config_(config),
       workload_(std::move(workload)),
-      // Sharded runs force batch collectors: lifecycle events for one job
+      // Several shards force batch collectors: lifecycle events for one job
       // land on several shards, and only batch records merge exactly.
       collector_(workload_.jobs.size(), workload_.spec.node_count,
-                 config.obs.streaming_metrics && config.shards == 0),
+                 config.obs.streaming_metrics && config.shards <= 1),
       rng_(mix64(config.seed) ^ 0xA5A5A5A5A5A5A5A5ULL) {
   PGRID_EXPECTS(workload_.node_caps.size() == workload_.spec.node_count);
+  const std::size_t shards = std::max<std::size_t>(config_.shards, 1);
+  engine_ = std::make_unique<sim::ShardedEngine>(shards, config_.latency.min);
+  // The bus seed is derived from the config seed without consuming rng_,
+  // whose fork sequence is 1=networks, 2=nodes, 3=clients, 4=churn.
+  bus_ = std::make_unique<net::ShardBus>(
+      shards, hash_combine(mix64(config_.seed), 0x5348415244ULL));  // "SHARD"
+  Rng net_rng = rng_.fork(1);
+  nets_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    nets_.push_back(std::make_unique<net::Network>(
+        engine_->shard(s), net_rng.fork(s), config_.latency,
+        config_.loss_probability, bus_.get(), static_cast<std::uint32_t>(s)));
+    if (shards > 1) {
+      shard_collectors_.push_back(std::make_unique<metrics::Collector>(
+          workload_.jobs.size(), workload_.spec.node_count,
+          /*streaming=*/false));
+    }
+  }
 }
 
 GridSystem::~GridSystem() {
@@ -49,11 +67,29 @@ void GridSystem::build() {
   if (built_) return;
   built_ = true;
   obs::RunProfile::Timer build_timer(profile_, "build");
+  const std::size_t shards = engine_->shards();
+  if (shards > 1) {
+    // Several shards carry the steady-state overlay planes only (DESIGN.md
+    // §17). Every excluded feature is rejected here rather than silently
+    // degraded; churn, crash/restart and the fault plane are rejected where
+    // they are requested.
+    PGRID_EXPECTS(uses_chord(config_.kind) || uses_can(config_.kind));
+    PGRID_EXPECTS(!config_.obs.trace);
+    PGRID_EXPECTS(config_.obs.sample_period_sec == 0.0);
+    PGRID_EXPECTS(config_.obs.metrics_csv_path.empty());
+    PGRID_EXPECTS(!config_.manual_submission);
+  }
 
   // Log lines gain a sim-time prefix so they correlate with trace events.
-  // Thread-local: parallel sweeps register one clock per worker thread.
-  Logger::set_time_source([this] { return sim_.now().sec(); });
+  // Thread-local: parallel sweeps register one clock per worker thread, and
+  // each shard worker points its own at its shard's clock.
+  Logger::set_time_source(
+      [clock = &engine_->shard(0)] { return clock->now().sec(); });
   owns_log_clock_ = true;
+  engine_->set_thread_init([this](std::size_t s) {
+    sim::Simulator* clock = &engine_->shard(s);
+    Logger::set_time_source([clock] { return clock->now().sec(); });
+  });
 
   GridNodeConfig node_config = config_.node;
   node_config.kind = config_.kind;
@@ -74,26 +110,44 @@ void GridSystem::build() {
     };
   }
 
-  if (config_.shards > 0) {
-    build_sharded(node_config);
-    return;
-  }
-
-  net_ = std::make_unique<net::Network>(sim_, rng_.fork(1), config_.latency,
-                                        config_.loss_probability);
   if (config_.obs.trace) {
-    trace_ = std::make_unique<obs::TraceBus>(sim_, config_.obs.trace_capacity);
+    trace_ = std::make_unique<obs::TraceBus>(simulator(),
+                                             config_.obs.trace_capacity);
     trace_->set_trace_sampling(config_.obs.trace_sample_every);
-    net_->set_trace(trace_.get());
+    network().set_trace(trace_.get());
   }
 
-  populate(node_config, {net_.get()}, {&collector_},
-           std::vector<std::uint32_t>(workload_.spec.node_count, 0));
+  // Several shards partition the nodes into contiguous Guid-order arcs (the
+  // ring order correlated_victims uses): overlay neighbours share a shard,
+  // so most protocol traffic never crosses the bus. Guids are a pure
+  // function of (seed, index) — the plan is identical for every run of this
+  // config.
+  const std::size_t n = workload_.spec.node_count;
+  std::vector<std::uint32_t> shard_of(n, 0);
+  if (shards > 1) {
+    std::vector<Guid> ids;
+    ids.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) ids.push_back(node_guid(config_.seed, i));
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&ids](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
+    shard_of = sim::plan_shards(order, static_cast<std::uint32_t>(shards))
+                   .shard_of;
+  }
+  populate(node_config, shard_of);
+
+  if (shards > 1) {
+    bus_->freeze();
+    engine_->set_drain([bus = bus_.get()](std::size_t s) {
+      bus->drain_into(static_cast<std::uint32_t>(s));
+    });
+  }
 
   if (trace_ != nullptr) {
-    for (const auto& n : nodes_) {
-      trace_->set_actor_name(n->addr(),
-                             "node " + std::to_string(n->index()));
+    for (const auto& node : nodes_) {
+      trace_->set_actor_name(node->addr(),
+                             "node " + std::to_string(node->index()));
     }
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       trace_->set_actor_name(clients_[c]->addr(),
@@ -102,20 +156,22 @@ void GridSystem::build() {
   }
 
   if (config_.obs.sample_period_sec > 0.0) {
+    sim::Simulator* sim = &simulator();
+    const net::NetworkStats* net = &network().stats();
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        sim_, sim::SimTime::seconds(config_.obs.sample_period_sec));
+        *sim, sim::SimTime::seconds(config_.obs.sample_period_sec));
     sampler_->add_gauge("live_nodes", [this] {
       std::size_t live = 0;
-      for (const auto& n : nodes_) live += n->running() ? 1 : 0;
+      for (const auto& node : nodes_) live += node->running() ? 1 : 0;
       return static_cast<double>(live);
     });
     sampler_->add_gauge("busy_frac", [this] {
       std::size_t live = 0;
       std::size_t busy = 0;
-      for (const auto& n : nodes_) {
-        if (!n->running()) continue;
+      for (const auto& node : nodes_) {
+        if (!node->running()) continue;
         ++live;
-        busy += n->executing() ? 1 : 0;
+        busy += node->executing() ? 1 : 0;
       }
       return live == 0 ? 0.0
                        : static_cast<double>(busy) / static_cast<double>(live);
@@ -123,40 +179,40 @@ void GridSystem::build() {
     sampler_->add_gauge("queue_depth_avg", [this] {
       double total = 0.0;
       std::size_t live = 0;
-      for (const auto& n : nodes_) {
-        if (!n->running()) continue;
+      for (const auto& node : nodes_) {
+        if (!node->running()) continue;
         ++live;
-        total += n->queue_length();
+        total += node->queue_length();
       }
       return live == 0 ? 0.0 : total / static_cast<double>(live);
     });
     sampler_->add_gauge("queue_depth_max", [this] {
       double worst = 0.0;
-      for (const auto& n : nodes_) {
-        if (n->running()) worst = std::max(worst, n->queue_length());
+      for (const auto& node : nodes_) {
+        if (node->running()) worst = std::max(worst, node->queue_length());
       }
       return worst;
     });
-    sampler_->add_gauge("sim_queue", [this] {
-      return static_cast<double>(sim_.queued());
+    sampler_->add_gauge("sim_queue", [sim] {
+      return static_cast<double>(sim->queued());
     });
-    sampler_->add_gauge("sim_tombstones", [this] {
-      return static_cast<double>(sim_.tombstones());
+    sampler_->add_gauge("sim_tombstones", [sim] {
+      return static_cast<double>(sim->tombstones());
     });
-    sampler_->add_rate("sim_events_per_sec", [this] {
-      return static_cast<double>(sim_.executed());
+    sampler_->add_rate("sim_events_per_sec", [sim] {
+      return static_cast<double>(sim->executed());
     });
     sampler_->add_gauge("jobs_terminal", [this] {
       return static_cast<double>(terminal_jobs_);
     });
-    sampler_->add_rate("msgs_sent_per_sec", [this] {
-      return static_cast<double>(net_->stats().messages_sent);
+    sampler_->add_rate("msgs_sent_per_sec", [net] {
+      return static_cast<double>(net->messages_sent);
     });
-    sampler_->add_rate("msgs_delivered_per_sec", [this] {
-      return static_cast<double>(net_->stats().messages_delivered);
+    sampler_->add_rate("msgs_delivered_per_sec", [net] {
+      return static_cast<double>(net->messages_delivered);
     });
-    sampler_->add_rate("bytes_sent_per_sec", [this] {
-      return static_cast<double>(net_->stats().bytes_sent);
+    sampler_->add_rate("bytes_sent_per_sec", [net] {
+      return static_cast<double>(net->bytes_sent);
     });
   }
 
@@ -171,85 +227,15 @@ void GridSystem::build() {
   if (sampler_ != nullptr) sampler_->start();
 }
 
-void GridSystem::build_sharded(const GridNodeConfig& node_config) {
-  // Sharded v1 scope (DESIGN.md §17): steady-state overlay planes only.
-  // Every excluded feature is rejected here rather than silently degraded.
-  PGRID_EXPECTS(uses_chord(config_.kind) || uses_can(config_.kind));
-  PGRID_EXPECTS(!config_.obs.trace);
-  PGRID_EXPECTS(config_.obs.sample_period_sec == 0.0);
-  PGRID_EXPECTS(config_.obs.metrics_csv_path.empty());
-  PGRID_EXPECTS(!config_.manual_submission);
-  // The lookahead window is the minimum link latency; a zero floor would
-  // collapse windows to single events.
-  PGRID_EXPECTS(config_.latency.min > sim::SimTime::zero());
-
-  const std::size_t shards = config_.shards;
-  engine_ = std::make_unique<sim::ShardedEngine>(shards, config_.latency.min);
-  Logger::set_time_source([this] { return engine_->now().sec(); });
-
-  // The bus seed is derived from the config seed without consuming rng_:
-  // rng_'s fork sequence (1=net, 2=nodes, 3=clients) must stay identical to
-  // the sequential build so per-node streams are engine-independent.
-  bus_ = std::make_unique<net::ShardBus>(
-      shards, hash_combine(mix64(config_.seed), 0x5348415244ULL));  // "SHARD"
-  Rng net_rng = rng_.fork(1);
-  shard_nets_.reserve(shards);
-  shard_collectors_.reserve(shards);
-  std::vector<net::Network*> nets;
-  std::vector<metrics::Collector*> collectors;
-  for (std::size_t s = 0; s < shards; ++s) {
-    shard_nets_.push_back(std::make_unique<net::Network>(
-        engine_->shard(s), net_rng.fork(s), config_.latency,
-        config_.loss_probability));
-    bus_->attach(static_cast<std::uint32_t>(s), *shard_nets_[s]);
-    shard_collectors_.push_back(std::make_unique<metrics::Collector>(
-        workload_.jobs.size(), workload_.spec.node_count,
-        /*streaming=*/false));
-    nets.push_back(shard_nets_[s].get());
-    collectors.push_back(shard_collectors_[s].get());
-  }
-
-  // Partition nodes into contiguous Guid-order arcs (the ring order
-  // correlated_victims uses): overlay neighbours share a shard, so most
-  // protocol traffic never crosses the bus. Guids are a pure function of
-  // (seed, index) — the plan is identical for every run of this config.
-  const std::size_t n = workload_.spec.node_count;
-  std::vector<Guid> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ids.push_back(node_guid(config_.seed, i));
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&ids](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
-  const sim::ShardPlan plan =
-      sim::plan_shards(order, static_cast<std::uint32_t>(shards));
-
-  // Same construction as the sequential build; registration goes through
-  // the bus's global directory, so addr == index holds whichever shard's
-  // Network a node or client uses.
-  populate(node_config, nets, collectors, plan.shard_of);
-
-  bus_->freeze();
-  engine_->set_drain([bus = bus_.get()](std::size_t s) {
-    bus->drain_into(static_cast<std::uint32_t>(s));
-  });
-  engine_->set_thread_init([this](std::size_t s) {
-    sim::Simulator* clock = &engine_->shard(s);
-    Logger::set_time_source([clock] { return clock->now().sec(); });
-  });
-}
-
 void GridSystem::populate(const GridNodeConfig& node_config,
-                          const std::vector<net::Network*>& nets,
-                          const std::vector<metrics::Collector*>& collectors,
                           const std::vector<std::uint32_t>& shard_of) {
   Rng node_rng = rng_.fork(2);
   nodes_.reserve(workload_.spec.node_count);
   for (std::size_t i = 0; i < workload_.spec.node_count; ++i) {
     nodes_.push_back(std::make_unique<GridNode>(
-        *nets[shard_of[i]], static_cast<std::uint32_t>(i),
+        *nets_[shard_of[i]], static_cast<std::uint32_t>(i),
         node_guid(config_.seed, i), workload_.node_caps[i], node_rng.uniform(),
-        node_config, &central_, collectors[shard_of[i]], node_rng.fork(i)));
+        node_config, &central_, collector_of(shard_of[i]), node_rng.fork(i)));
     // Metrics and the central scheduler address nodes by network address;
     // registering nodes first makes address == index.
     PGRID_ASSERT(nodes_.back()->addr() == i);
@@ -280,9 +266,9 @@ void GridSystem::populate(const GridNodeConfig& node_config,
   Rng client_rng = rng_.fork(3);
   clients_.reserve(workload_.spec.client_count);
   for (std::size_t c = 0; c < workload_.spec.client_count; ++c) {
-    const std::size_t s = c % nets.size();
+    const std::size_t s = c % nets_.size();
     clients_.push_back(std::make_unique<Client>(
-        *nets[s], config_.client, collectors[s], client_rng.fork(c)));
+        *nets_[s], config_.client, collector_of(s), client_rng.fork(c)));
     clients_.back()->set_injection_pool(pool);
     clients_.back()->on_terminal = [this] {
       terminal_jobs_.fetch_add(1, std::memory_order_relaxed);
@@ -328,7 +314,7 @@ void GridSystem::register_builtin_metrics() {
   // sampling instant (see mem_cache_).
   const auto mem_gauge = [this](obs::MemClass c) {
     return [this, c] {
-      const std::int64_t now = sim_.now().ns();
+      const std::int64_t now = simulator().now().ns();
       if (mem_cache_.t_ns != now) {
         mem_cache_.acc = memory_breakdown();
         mem_cache_.t_ns = now;
@@ -342,7 +328,7 @@ void GridSystem::register_builtin_metrics() {
                      mem_gauge(cls));
   }
   registry_->gauge("mem/total", [this] {
-    const std::int64_t now = sim_.now().ns();
+    const std::int64_t now = simulator().now().ns();
     if (mem_cache_.t_ns != now) {
       mem_cache_.acc = memory_breakdown();
       mem_cache_.t_ns = now;
@@ -376,13 +362,10 @@ void GridSystem::register_builtin_metrics() {
 }
 
 void GridSystem::submit_job(std::uint64_t seq, double delay_sec) {
-  // Manual submission is outside sharded v1 (build_sharded rejects the
-  // config); reaching here sharded means a driver bug.
-  PGRID_EXPECTS(!sharded_mode());
   build();
   PGRID_EXPECTS(seq < workload_.jobs.size());
   const workload::JobSpec& job = workload_.jobs[seq];
-  const double at = sim_.now().sec() + delay_sec;
+  const double at = simulator().now().sec() + delay_sec;  // one shard only
   latest_release_sec_ = std::max(latest_release_sec_, at);
   clients_[job.client % clients_.size()]->schedule_job(
       seq, at, job.constraints, job.runtime_sec, job.declared_runtime_sec,
@@ -390,7 +373,7 @@ void GridSystem::submit_job(std::uint64_t seq, double delay_sec) {
 }
 
 void GridSystem::merge_shard_metrics() {
-  if (engine_ == nullptr) return;
+  if (shard_collectors_.empty()) return;
   std::vector<const metrics::Collector*> parts;
   parts.reserve(shard_collectors_.size());
   for (const auto& c : shard_collectors_) parts.push_back(c.get());
@@ -407,11 +390,7 @@ void GridSystem::run() {
     const double horizon = std::max(last_arrival_sec_, latest_release_sec_) +
                            config_.horizon_slack_sec;
     if (now_sec() >= horizon) break;
-    if (engine_ != nullptr) {
-      engine_->run_until(engine_->now() + sim::SimTime::seconds(60.0));
-    } else {
-      sim_.run_until(sim_.now() + sim::SimTime::seconds(60.0));
-    }
+    engine_->run_until(engine_->now() + sim::SimTime::seconds(60.0));
   }
   merge_shard_metrics();
   profile_.add_events(sim_events() - events_before);
@@ -425,24 +404,20 @@ void GridSystem::run_for(double sec) {
   build();
   obs::RunProfile::Timer run_timer(profile_, "run");
   const std::uint64_t events_before = sim_events();
-  if (engine_ != nullptr) {
-    engine_->run_until(engine_->now() + sim::SimTime::seconds(sec));
-  } else {
-    sim_.run_until(sim_.now() + sim::SimTime::seconds(sec));
-  }
+  engine_->run_until(engine_->now() + sim::SimTime::seconds(sec));
   merge_shard_metrics();
   profile_.add_events(sim_events() - events_before);
   profile_.note_queue_peaks(sim_queue_peak(), sim_tombstone_peak());
 }
 
 const net::NetworkStats& GridSystem::net_stats() const {
-  if (net_ != nullptr) return net_->stats();
-  // Sharded: sum the per-shard Networks field-wise on demand. Every counter
-  // increments on exactly one shard (the sender's for send-side counters,
-  // the destination's for delivery-side), so the sum equals what a single
-  // network would have recorded for the same trajectory.
+  if (nets_.size() == 1) return nets_[0]->stats();
+  // Several shards: sum the per-shard Networks field-wise on demand. Every
+  // counter increments on exactly one shard (the sender's for send-side
+  // counters, the destination's for delivery-side), so the sum equals what
+  // a single network would have recorded for the same trajectory.
   merged_stats_ = net::NetworkStats{};
-  for (const auto& net : shard_nets_) {
+  for (const auto& net : nets_) {
     const net::NetworkStats& s = net->stats();
     merged_stats_.messages_sent += s.messages_sent;
     merged_stats_.messages_delivered += s.messages_delivered;
@@ -475,21 +450,21 @@ Peer GridSystem::find_bootstrap(std::size_t excluding) const {
   return kNoPeer;
 }
 
+// Crash, restart and churn need one shard: simulator() and network()
+// reject several (DESIGN.md §17).
 void GridSystem::crash_node(std::size_t index) {
-  PGRID_EXPECTS(!sharded_mode());  // churn is outside sharded v1 (§17)
   GridNode& n = node(index);
   if (!n.running()) return;
-  if (index < down_since_.size()) down_since_[index] = sim_.now().sec();
-  net_->set_alive(n.addr(), false);
+  if (index < down_since_.size()) down_since_[index] = simulator().now().sec();
+  network().set_alive(n.addr(), false);
   n.crash();
 }
 
 void GridSystem::restart_node(std::size_t index) {
-  PGRID_EXPECTS(!sharded_mode());
   GridNode& n = node(index);
   if (n.running()) return;
   if (index < down_since_.size()) down_since_[index] = -1.0;
-  net_->set_alive(n.addr(), true);
+  network().set_alive(n.addr(), true);
   n.restart(find_bootstrap(index));
 }
 
@@ -498,10 +473,9 @@ bool GridSystem::node_running(std::size_t index) const {
 }
 
 void GridSystem::enable_churn(const sim::ChurnModel& model) {
-  PGRID_EXPECTS(!sharded_mode());
   build();
   churn_ = std::make_unique<sim::FailureInjector>(
-      sim_, rng_.fork(4), model, nodes_.size(),
+      simulator(), rng_.fork(4), model, nodes_.size(),
       [this](std::size_t i) { crash_node(i); },
       [this](std::size_t i) { restart_node(i); });
   churn_->start();
@@ -528,8 +502,7 @@ bool GridSystem::write_observability() const {
 
 obs::MemoryAccountant GridSystem::memory_breakdown() const {
   obs::MemoryAccountant acc;
-  acc.add(obs::MemClass::kSimEvents,
-          engine_ != nullptr ? engine_->memory_bytes() : sim_.memory_bytes());
+  acc.add(obs::MemClass::kSimEvents, engine_->memory_bytes());
   acc.add(obs::MemClass::kMessagePool, net::MessagePool::stats().memory_bytes());
   for (const auto& n : nodes_) n->account_memory(acc);
   // Clients: the pending-job map is grid bookkeeping; their RPC slabs are

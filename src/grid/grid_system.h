@@ -58,15 +58,14 @@ struct GridConfig {
   bool track_liveness = false;
   /// Observability: event tracing, time-series sampling, output paths.
   obs::ObsConfig obs;
-  /// Sharded execution (DESIGN.md §17): 0 (default) runs the sequential
-  /// engine, byte-identical to builds without the feature; N >= 1 partitions
-  /// nodes into N contiguous Guid-order arcs, each on its own worker thread,
-  /// synchronized by conservative-lookahead windows. Sharded outputs are a
-  /// deterministic function of (seed, config) — the same for every N — but
-  /// differ from the sequential engine's (the shared-RNG draw order cannot
-  /// be parallelized); aggregate invariants (completions, event counts)
-  /// match. Sharded v1 carries the steady-state plane only: overlay
-  /// matchmakers, no churn/crash/restart, no fault plane, no trace/sampler.
+  /// Worker shards (DESIGN.md §17). 0 (default) and 1 both run one shard
+  /// on the calling thread. N > 1 partitions nodes into N contiguous
+  /// Guid-order arcs, each on its own worker thread, synchronized by
+  /// conservative-lookahead windows. Outputs are a deterministic function of
+  /// (seed, config), the same for every N. Several shards carry the
+  /// steady-state plane only: overlay matchmakers, no churn/crash/restart,
+  /// no fault plane, no trace/sampler/metrics CSV, no manual submission, a
+  /// batch collector, and a positive latency floor.
   std::size_t shards = 0;
 };
 
@@ -122,42 +121,41 @@ class GridSystem {
   /// Mutable access for targeted scenarios (crash bursts, forced crashes).
   [[nodiscard]] sim::FailureInjector* churn() noexcept { return churn_.get(); }
 
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
-  [[nodiscard]] const sim::Simulator& simulator() const noexcept {
-    return sim_;
+  /// Shard 0's simulator; one shard only (several shards have no single
+  /// clock — use the engine-wide aggregates below).
+  [[nodiscard]] sim::Simulator& simulator() {
+    PGRID_EXPECTS(engine_->shards() == 1);
+    return engine_->shard(0);
   }
 
-  // --- engine-agnostic aggregates (valid in both execution modes) ----------
-  [[nodiscard]] bool sharded_mode() const noexcept {
-    return config_.shards > 0;
-  }
-  /// The sharded engine (null in sequential mode).
+  // --- engine-wide aggregates (valid for every shard count) ----------------
   [[nodiscard]] sim::ShardedEngine* engine() noexcept { return engine_.get(); }
   [[nodiscard]] std::uint64_t sim_events() const noexcept {
-    return engine_ != nullptr ? engine_->executed() : sim_.executed();
+    return engine_->executed();
   }
   [[nodiscard]] std::size_t sim_queued() const noexcept {
-    return engine_ != nullptr ? engine_->queued() : sim_.queued();
+    return engine_->queued();
   }
   [[nodiscard]] std::size_t sim_queue_peak() const noexcept {
-    return engine_ != nullptr ? engine_->queue_high_water()
-                              : sim_.queue_high_water();
+    return engine_->queue_high_water();
   }
   [[nodiscard]] std::size_t sim_tombstone_peak() const noexcept {
-    return engine_ != nullptr ? engine_->tombstone_high_water()
-                              : sim_.tombstone_high_water();
+    return engine_->tombstone_high_water();
   }
   [[nodiscard]] double now_sec() const noexcept {
-    return engine_ != nullptr ? engine_->now().sec() : sim_.now().sec();
+    return engine_->now().sec();
   }
   [[nodiscard]] metrics::Collector& collector() noexcept { return collector_; }
   [[nodiscard]] const metrics::Collector& collector() const noexcept {
     return collector_;
   }
   [[nodiscard]] const net::NetworkStats& net_stats() const;
-  /// The simulated network (valid after build()); chaos scenarios reach the
-  /// fault plane through this.
-  [[nodiscard]] net::Network& network() { return *net_; }
+  /// Shard 0's network; one shard only. Chaos scenarios reach the fault
+  /// plane through this.
+  [[nodiscard]] net::Network& network() {
+    PGRID_EXPECTS(nets_.size() == 1);
+    return *nets_[0];
+  }
   [[nodiscard]] GridNode& node(std::size_t index) { return *nodes_.at(index); }
   [[nodiscard]] Client& client(std::size_t index) {
     return *clients_.at(index);
@@ -205,29 +203,30 @@ class GridSystem {
  private:
   [[nodiscard]] Peer find_bootstrap(std::size_t excluding) const;
   void register_builtin_metrics();
-  void build_sharded(const GridNodeConfig& node_config);
-  /// Construction shared by both engines: nodes, overlay wiring, clients and
-  /// the job schedule. Node i runs on nets[shard_of[i]] and reports to
-  /// collectors[shard_of[i]]; client c uses index c % nets.size(). Consumes
+  /// Nodes, overlay wiring, clients and the job schedule. Node i runs on
+  /// nets_[shard_of[i]]; client c on nets_[c % shards]. Consumes
   /// rng_.fork(2) for nodes, then rng_.fork(3) for clients.
   void populate(const GridNodeConfig& node_config,
-                const std::vector<net::Network*>& nets,
-                const std::vector<metrics::Collector*>& collectors,
                 const std::vector<std::uint32_t>& shard_of);
-  /// Rebuild collector_ from the per-shard collectors (sharded mode; no-op
-  /// sequentially). Idempotent — called after every run()/run_for() leg.
+  /// The collector shard s's nodes and clients record into.
+  [[nodiscard]] metrics::Collector* collector_of(std::size_t s) {
+    return shard_collectors_.empty() ? &collector_
+                                     : shard_collectors_[s].get();
+  }
+  /// Rebuild collector_ from the per-shard collectors (several shards
+  /// only). Idempotent — called after every run()/run_for() leg.
   void merge_shard_metrics();
 
   GridConfig config_;
   workload::Workload workload_;
-  sim::Simulator sim_;
-  std::unique_ptr<net::Network> net_;
-  // Sharded mode: the engine's per-shard Simulators/Networks/Collectors
-  // replace sim_/net_/direct collector writes; collector_ holds the merged
-  // view after run(), merged_stats_ the summed NetworkStats on demand.
+  // One Simulator and one Network per shard (one unless config.shards > 1),
+  // all registered in bus_'s global address space.
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::unique_ptr<net::ShardBus> bus_;
-  std::vector<std::unique_ptr<net::Network>> shard_nets_;
+  std::vector<std::unique_ptr<net::Network>> nets_;
+  // Several shards only: each shard records into its own collector,
+  // collector_ holds the merged view after a run, merged_stats_ the summed
+  // NetworkStats on demand.
   std::vector<std::unique_ptr<metrics::Collector>> shard_collectors_;
   mutable net::NetworkStats merged_stats_;
   metrics::Collector collector_;
@@ -248,8 +247,8 @@ class GridSystem {
   mutable MemGaugeCache mem_cache_;
   obs::RunProfile profile_;
   bool owns_log_clock_ = false;
-  /// Atomic: client on_terminal callbacks fire on shard worker threads in
-  /// sharded mode (relaxed increments commute; sequential cost is nil).
+  /// Atomic: client on_terminal callbacks fire on shard worker threads with
+  /// several shards (relaxed increments commute; one shard's cost is nil).
   std::atomic<std::uint64_t> terminal_jobs_{0};
   /// Ground-truth liveness ledger for the injected oracle: seconds at which
   /// each node address went down, or -1 while it is up. Maintained on every

@@ -61,6 +61,7 @@ void Collector::on_matched(std::uint64_t seq, sim::SimTime t, int hops,
     j.match_hops = hops;
   }
   j.run_node = run_node;
+  j.last_matched_sec = t.sec();
 }
 
 void Collector::on_started(std::uint64_t seq, sim::SimTime t,
@@ -163,25 +164,25 @@ void Collector::merge_from_shards(const std::vector<const Collector*>& parts) {
       first_wins(d.submit_sec, s.submit_sec);
       if (first_wins(d.matched_sec, s.matched_sec)) d.match_hops = s.match_hops;
       first_wins(d.completed_sec, s.completed_sec);
-      // The first started record pins the executing node: start_node is a
-      // shard-local fact of the started event (run_node of the started
-      // part can be stale — the match was recorded on another shard). Exact
-      // time ties (two dup-dispatched starts in the same nanosecond) break
-      // toward the smaller address so the result is independent of the
-      // parts' iteration order, hence of the shard count.
-      if (first_wins(d.started_sec, s.started_sec)) {
+      // The first started record pins the executing node. Exact time ties
+      // (two dup-dispatched starts in the same nanosecond) break toward the
+      // smaller address so the result is independent of the parts'
+      // iteration order, hence of the shard count.
+      if (first_wins(d.started_sec, s.started_sec) ||
+          (s.started_sec != JobOutcome::kNever &&
+           s.started_sec == d.started_sec && s.start_node < d.start_node)) {
         d.start_node = s.start_node;
-        d.run_node = s.start_node;
-      } else if (s.started_sec != JobOutcome::kNever &&
-                 s.started_sec == d.started_sec &&
-                 s.start_node < d.start_node) {
-        d.start_node = s.start_node;
-        d.run_node = s.start_node;
       }
-      // Owner is last-wins sequentially (re-homing); merge by latest time.
+      // Owner and run node are last-wins (re-homing, re-dispatch); merge by
+      // latest time.
       if (s.owner_sec != JobOutcome::kNever && s.owner_sec >= d.owner_sec) {
         d.owner_sec = s.owner_sec;
         d.injection_hops = s.injection_hops;
+      }
+      if (s.last_matched_sec != JobOutcome::kNever &&
+          s.last_matched_sec >= d.last_matched_sec) {
+        d.last_matched_sec = s.last_matched_sec;
+        d.run_node = s.run_node;
       }
       d.resubmissions += s.resubmissions;
       d.requeues += s.requeues;
@@ -193,18 +194,7 @@ void Collector::merge_from_shards(const std::vector<const Collector*>& parts) {
   }
 
   for (std::size_t seq = 0; seq < jobs_.size(); ++seq) {
-    JobOutcome& j = jobs_[seq];
-    // Never-started jobs keep the run node chosen by the earliest match (the
-    // sequential record would hold the same value via first-match-wins).
-    if (j.started_sec == JobOutcome::kNever &&
-        j.matched_sec != JobOutcome::kNever) {
-      for (const Collector* part : parts) {
-        if (part->jobs_[seq].matched_sec == j.matched_sec) {
-          j.run_node = part->jobs_[seq].run_node;
-          break;
-        }
-      }
-    }
+    const JobOutcome& j = jobs_[seq];
     if (j.started_sec != JobOutcome::kNever) {
       ++started_n_;
       if (j.start_node < node_jobs_.size()) ++node_jobs_[j.start_node];

@@ -36,7 +36,10 @@ struct JobOutcome {
   int injection_hops = 0;         // overlay hops routing job -> owner
   std::uint32_t resubmissions = 0;
   std::uint32_t requeues = 0;     // owner re-dispatched after a failure
+  /// The run node of the latest match (a re-dispatch after a failure moves
+  /// it); last_matched_sec is when that match was recorded.
   std::uint32_t run_node = 0;
+  double last_matched_sec = kNever;
   /// The node that actually began execution (recorded by on_started's
   /// caller). Usually equals run_node; they diverge when a lost dispatch
   /// reply makes the owner re-match while the first run node proceeds, and
@@ -80,16 +83,17 @@ class Collector {
   void on_unmatched(std::uint64_t seq);
   void add_node_busy(std::uint32_t node, double seconds);
 
-  /// Rebuild this collector as the merge of a sharded run's per-shard parts
-  /// (batch mode only, both sides). Each lifecycle event lands in the shard
-  /// collector of the node or client that observed it; the merge reassembles
-  /// per-job records field-wise — first event (minimum time) wins, mirroring
-  /// the sequential dedup guards; owner is last-wins; per-job retry counters
-  /// sum — then recomputes every aggregate counter from the merged records
-  /// (node busy-seconds, which have no record backing, sum element-wise).
-  /// A pure function of the parts' contents, so the result is identical for
-  /// every shard count that produced the same trajectory. Idempotent:
-  /// existing contents are discarded.
+  /// Rebuild this collector as the merge of a multi-shard run's per-shard
+  /// parts (batch mode only, both sides). Each lifecycle event lands in the
+  /// shard collector of the node or client that observed it; the merge
+  /// reassembles per-job records field-wise with the same rules a direct
+  /// write applies in event order — first event (minimum time) wins; owner
+  /// and run node are last-wins (maximum time); per-job retry counters sum —
+  /// then recomputes every aggregate counter from the merged records (node
+  /// busy-seconds, which have no record backing, sum element-wise). So the
+  /// result equals the record one collector would have written for the same
+  /// trajectory, whatever the shard count. Idempotent: existing contents
+  /// are discarded.
   void merge_from_shards(const std::vector<const Collector*>& parts);
 
   // --- summaries ----------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/expects.h"
 #include "net/network.h"
 
 namespace pgrid::net {
@@ -20,7 +19,6 @@ void ShardBus::attach(std::uint32_t shard, Network& net) {
   PGRID_EXPECTS(shard < shards_);
   PGRID_EXPECTS(nets_[shard] == nullptr);
   nets_[shard] = &net;
-  net.enable_sharding(this, shard);
 }
 
 NodeAddr ShardBus::register_handler(MessageHandler* handler,
@@ -30,10 +28,15 @@ NodeAddr ShardBus::register_handler(MessageHandler* handler,
   PGRID_EXPECTS(!frozen_);
   // Provenance keys pack the sender address into bits 32..62.
   PGRID_EXPECTS(handlers_.size() < (1u << 31));
+  const auto addr = static_cast<std::uint64_t>(handlers_.size());
   handlers_.push_back(handler);
   shard_of_.push_back(shard);
   alive_.push_back(true);
-  return static_cast<NodeAddr>(handlers_.size() - 1);
+  // Seeded from (bus seed, addr) only — never from a shared draw sequence —
+  // so the stream is identical under every shard count.
+  senders_.push_back(
+      SenderState{Rng(hash_combine(mix64(seed_), mix64(addr))), 0, 0});
+  return static_cast<NodeAddr>(addr);
 }
 
 void ShardBus::set_handler(NodeAddr addr, MessageHandler* handler) {
@@ -46,48 +49,8 @@ void ShardBus::set_alive(NodeAddr addr, bool alive) {
   alive_[addr] = alive;
 }
 
-bool ShardBus::alive(NodeAddr addr) const {
-  PGRID_EXPECTS(addr < alive_.size());
-  return alive_[addr];
-}
-
-MessageHandler* ShardBus::handler(NodeAddr addr) const {
-  PGRID_EXPECTS(addr < handlers_.size());
-  return handlers_[addr];
-}
-
-std::uint32_t ShardBus::shard_of(NodeAddr addr) const {
-  PGRID_EXPECTS(addr < shard_of_.size());
-  return shard_of_[addr];
-}
-
-void ShardBus::freeze() {
-  PGRID_EXPECTS(!frozen_);
-  senders_.resize(handlers_.size());
-  for (std::size_t a = 0; a < senders_.size(); ++a) {
-    // Seeded from (bus seed, addr) only — never from a shared draw sequence —
-    // so the stream is identical under every shard count.
-    senders_[a].rng =
-        Rng(hash_combine(mix64(seed_), mix64(static_cast<std::uint64_t>(a))));
-  }
-  frozen_ = true;
-}
-
-Rng& ShardBus::sender_rng(NodeAddr addr) {
-  PGRID_EXPECTS(frozen_ && addr < senders_.size());
-  return senders_[addr].rng;
-}
-
-std::uint64_t ShardBus::next_key(NodeAddr addr) {
-  PGRID_EXPECTS(frozen_ && addr < senders_.size());
-  SenderState& s = senders_[addr];
-  PGRID_ASSERT(s.sends < 0xffffffffULL);  // 32-bit counter field
-  return (1ULL << 63) | (static_cast<std::uint64_t>(addr) << 32) | ++s.sends;
-}
-
 Rng ShardBus::fork_endpoint_rng(NodeAddr addr) {
-  PGRID_EXPECTS(addr < handlers_.size());
-  if (senders_.size() < handlers_.size()) senders_.resize(handlers_.size());
+  PGRID_EXPECTS(addr < senders_.size());
   SenderState& s = senders_[addr];
   return Rng(hash_combine(hash_combine(mix64(seed_ + 1), mix64(addr)),
                           mix64(++s.endpoint_forks)));

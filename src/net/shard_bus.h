@@ -1,8 +1,9 @@
 #pragma once
 // Cross-shard message fabric for the sharded engine (DESIGN.md §17).
 //
-// One ShardBus backs a set of shard-local Networks. It owns what must be
-// global in a sharded run:
+// One ShardBus backs a set of shard-local Networks — a single one for a
+// one-shard run or a standalone Network, which owns its own one-shard bus.
+// It owns what must be global to the run:
 //
 //  - the address space: NodeAddr stays one flat namespace (addr == node
 //    index, the invariant every layer relies on), so handler registration
@@ -15,11 +16,12 @@
 //    and single-consumer during drains — no locks, no atomics on the
 //    message path;
 //  - per-sender determinism state: the latency/loss RNG stream and the
-//    send counter for every address. Seeded from (bus seed, addr) alone and
-//    consumed in the sender's deterministic execution order, the draws — and
-//    the provenance tie-break keys built from the counters — are identical
-//    for every shard count, which is what makes sharded outputs a pure
-//    function of (seed, config) rather than (seed, config, shards).
+//    send counter for every address. Seeded from (bus seed, addr) alone when
+//    the address registers and consumed in the sender's deterministic
+//    execution order, the draws — and the provenance tie-break keys built
+//    from the counters — are identical for every shard count, which is what
+//    makes outputs a pure function of (seed, config) rather than
+//    (seed, config, shards).
 //
 // Provenance keys: bit 63 set | sender addr (31 bits) | per-sender send
 // counter (32 bits). Unique per message, reproducible from the trajectory,
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/expects.h"
 #include "common/rng.h"
 #include "net/message.h"
 #include "sim/time.h"
@@ -58,31 +61,48 @@ class ShardBus {
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
-  /// Wire a shard's Network to the bus (also flips the Network into sharded
-  /// mode via Network::enable_sharding).
+  /// Record `net` as shard `shard`'s network (the Network constructor calls
+  /// this); drain_into schedules that shard's parked messages through it.
   void attach(std::uint32_t shard, Network& net);
 
   // --- global address directory (build-time registration, run-time reads) --
   NodeAddr register_handler(MessageHandler* handler, std::uint32_t shard);
   void set_handler(NodeAddr addr, MessageHandler* handler);
   void set_alive(NodeAddr addr, bool alive);
-  [[nodiscard]] bool alive(NodeAddr addr) const;
-  [[nodiscard]] MessageHandler* handler(NodeAddr addr) const;
-  [[nodiscard]] std::uint32_t shard_of(NodeAddr addr) const;
+  [[nodiscard]] bool alive(NodeAddr addr) const {
+    PGRID_EXPECTS(addr < alive_.size());
+    return alive_[addr];
+  }
+  [[nodiscard]] MessageHandler* handler(NodeAddr addr) const {
+    PGRID_EXPECTS(addr < handlers_.size());
+    return handlers_[addr];
+  }
+  [[nodiscard]] std::uint32_t shard_of(NodeAddr addr) const {
+    PGRID_EXPECTS(addr < shard_of_.size());
+    return shard_of_[addr];
+  }
   [[nodiscard]] std::size_t addr_count() const noexcept {
     return handlers_.size();
   }
 
-  /// Freeze the address space after build: pre-sizes the per-sender tables
-  /// so worker threads never touch a growing shared vector.
-  void freeze();
-  [[nodiscard]] bool frozen() const noexcept { return frozen_; }
+  /// Freeze the address space after build. With several shards the worker
+  /// threads read the directory and per-sender tables concurrently, so they
+  /// must never grow once a run starts.
+  void freeze() noexcept { frozen_ = true; }
 
-  // --- per-sender determinism state (owner-shard threads only, post-freeze) -
-  [[nodiscard]] Rng& sender_rng(NodeAddr addr);
-  [[nodiscard]] std::uint64_t next_key(NodeAddr addr);
-  /// Addr-derived RPC endpoint stream (Network::fork_rng_for in sharded
-  /// mode); several endpoints share one addr, hence the per-addr counter.
+  // --- per-sender determinism state (owner-shard threads only) -------------
+  [[nodiscard]] Rng& sender_rng(NodeAddr addr) {
+    PGRID_EXPECTS(addr < senders_.size());
+    return senders_[addr].rng;
+  }
+  [[nodiscard]] std::uint64_t next_key(NodeAddr addr) {
+    PGRID_EXPECTS(addr < senders_.size());
+    SenderState& s = senders_[addr];
+    PGRID_ASSERT(s.sends < 0xffffffffULL);  // 32-bit counter field
+    return (1ULL << 63) | (static_cast<std::uint64_t>(addr) << 32) | ++s.sends;
+  }
+  /// Addr-derived RPC endpoint stream (Network::fork_rng_for); several
+  /// endpoints share one addr, hence the per-addr counter.
   [[nodiscard]] Rng fork_endpoint_rng(NodeAddr addr);
 
   // --- mailboxes (producer side during run phases, consumer during drains) -

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -134,6 +135,37 @@ TEST(NetworkLatency, UniformRangeSampled) {
     mean += d.at.sec();
   }
   EXPECT_NEAR(mean / 2000.0, 0.050, 0.002);
+}
+
+// Loss and latency come from the sender's own stream, so a sender's delivery
+// times are a function of its own send sequence alone: traffic from an
+// unrelated sender, interleaved send by send, cannot shift them.
+TEST(NetworkLatency, SenderDrawsIgnoreOtherSenders) {
+  const auto deliveries_from_a = [](bool b_also_sends) {
+    sim::Simulator simulator;
+    Network net(simulator, Rng{5},
+                LatencyModel{sim::SimTime::millis(20), sim::SimTime::millis(80)},
+                0.1);
+    Recorder a{simulator}, b{simulator}, sink{simulator};
+    const NodeAddr addr_a = net.add_handler(&a);
+    const NodeAddr addr_b = net.add_handler(&b);
+    const NodeAddr addr_sink = net.add_handler(&sink);
+    for (int i = 0; i < 200; ++i) {
+      if (b_also_sends) {
+        net.send(addr_b, addr_sink, std::make_unique<TestMsg>(-1));
+      }
+      net.send(addr_a, addr_sink, std::make_unique<TestMsg>(i));
+    }
+    simulator.run();
+    std::vector<std::pair<int, sim::SimTime>> out;
+    for (const auto& d : sink.deliveries) {
+      if (d.from == addr_a) out.emplace_back(d.value, d.at);
+    }
+    return out;
+  };
+  const auto alone = deliveries_from_a(false);
+  ASSERT_GT(alone.size(), 100u);
+  EXPECT_EQ(alone, deliveries_from_a(true));
 }
 
 // Regression for the [min, max) edge cases: a 1ns-wide window has exactly

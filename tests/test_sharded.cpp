@@ -2,7 +2,7 @@
 // barrier-window edge cases of the conservative-lookahead engine (driven
 // through synthetic drain hooks, no network), and the determinism contract —
 // a fixed (seed, config) produces bit-identical per-job outcomes for every
-// shard count, and the sequential engine agrees on the aggregate invariants.
+// shard count, 0 and 1 (one shard) included.
 
 #include <gtest/gtest.h>
 
@@ -258,63 +258,52 @@ void expect_jobs_identical(const metrics::Collector& ref,
     EXPECT_EQ(a.resubmissions, b.resubmissions);
     EXPECT_EQ(a.requeues, b.requeues);
     EXPECT_EQ(a.run_node, b.run_node);
+    EXPECT_EQ(a.last_matched_sec, b.last_matched_sec);
     EXPECT_EQ(a.start_node, b.start_node);
     EXPECT_EQ(a.unmatched, b.unmatched);
   }
 }
 
 TEST(ShardedGrid, FixedSeedOutcomesIdenticalAcrossShardCounts) {
+  // 0 and 1 both run one shard on the calling thread; every other count must
+  // reproduce that trajectory exactly.
   for (const grid::MatchmakerKind kind :
-       {grid::MatchmakerKind::kRnTree, grid::MatchmakerKind::kCanBasic}) {
+       {grid::MatchmakerKind::kRnTree, grid::MatchmakerKind::kCanBasic,
+        grid::MatchmakerKind::kCanPush}) {
+    const char* label = grid::matchmaker_name(kind);
     const workload::Workload w = small_workload();
-    grid::GridSystem reference(sharded_config(kind, 1), w);
+    grid::GridSystem reference(sharded_config(kind, 0), w);
     reference.build();
     reference.run();
+    EXPECT_EQ(reference.collector().completed_count(), w.jobs.size())
+        << label;
 
-    for (const std::size_t shards : {2u, 3u, 4u}) {
+    for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
       grid::GridSystem system(sharded_config(kind, shards), w);
       system.build();
       system.run();
-      SCOPED_TRACE("shards=" + std::to_string(shards));
+      SCOPED_TRACE(std::string(label) + " shards=" + std::to_string(shards));
       EXPECT_EQ(reference.collector().completed_count(),
                 system.collector().completed_count());
       EXPECT_EQ(reference.sim_events(), system.sim_events());
-      EXPECT_EQ(reference.net_stats().messages_sent,
-                system.net_stats().messages_sent);
-      EXPECT_EQ(reference.net_stats().bytes_sent,
-                system.net_stats().bytes_sent);
+      const net::NetworkStats& a = reference.net_stats();
+      const net::NetworkStats& b = system.net_stats();
+      EXPECT_EQ(a.messages_sent, b.messages_sent);
+      EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+      EXPECT_EQ(a.messages_dropped_dead, b.messages_dropped_dead);
+      EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+      EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+      EXPECT_EQ(a.sent_by_kind, b.sent_by_kind);
+      EXPECT_EQ(a.delivered_by_kind, b.delivered_by_kind);
       expect_jobs_identical(reference.collector(), system.collector(),
-                            w.jobs.size(),
-                            kind == grid::MatchmakerKind::kRnTree ? "rn-tree"
-                                                                  : "can");
+                            w.jobs.size(), label);
       EXPECT_DOUBLE_EQ(reference.collector().makespan_sec(),
                        system.collector().makespan_sec());
       EXPECT_DOUBLE_EQ(reference.collector().wait_stats().mean(),
                        system.collector().wait_stats().mean());
+      EXPECT_EQ(reference.collector().node_jobs(),
+                system.collector().node_jobs());
     }
-  }
-}
-
-TEST(ShardedGrid, SequentialAndShardedAgreeOnCompletionInvariants) {
-  // The two engines draw RNG streams differently, so trajectories differ —
-  // but with zero loss and no churn both must complete the whole workload,
-  // and job identity (submission schedule) is engine-independent.
-  const workload::Workload w = small_workload();
-  grid::GridSystem seq(sharded_config(grid::MatchmakerKind::kRnTree, 0), w);
-  seq.build();
-  seq.run();
-  grid::GridSystem shd(sharded_config(grid::MatchmakerKind::kRnTree, 2), w);
-  shd.build();
-  shd.run();
-
-  ASSERT_EQ(seq.collector().job_count(), shd.collector().job_count());
-  EXPECT_EQ(seq.collector().completed_count(), w.jobs.size());
-  EXPECT_EQ(shd.collector().completed_count(), w.jobs.size());
-  EXPECT_EQ(seq.collector().unmatched_count(), 0u);
-  EXPECT_EQ(shd.collector().unmatched_count(), 0u);
-  for (std::uint64_t seq_no = 0; seq_no < w.jobs.size(); ++seq_no) {
-    EXPECT_EQ(seq.collector().job(seq_no).submit_sec,
-              shd.collector().job(seq_no).submit_sec);
   }
 }
 
