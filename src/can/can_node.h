@@ -195,11 +195,11 @@ class CanNode {
   void route_done(const std::shared_ptr<RouteState>& st, Peer owner);
   void route_failed(const std::shared_ptr<RouteState>& st);
 
-  /// The neighbor whose zones are closest to `p` (strictly closer than our
-  /// own zones), skipping `avoid`; kNoPeer at a greedy dead end.
+  /// The neighbor whose zones are closest to `p` (no farther than our own
+  /// zones; ties go to fewer upper faces touching `p`, then the lower Guid),
+  /// skipping `avoid`; kNoPeer at a greedy dead end.
   [[nodiscard]] Peer best_next_hop(const Point& p,
                                    const std::vector<Guid>& avoid) const;
-  [[nodiscard]] double my_distance_to(const Point& p) const noexcept;
 
   void on_route(net::NodeAddr from, const RouteReq& req);
   void on_join(net::NodeAddr from, const JoinReq& req);
