@@ -92,9 +92,9 @@ const char* kChordTagNames[] = {"NextHopReq",    "NextHopResp",
                                 "PingResp"};
 const char* kCanTagNames[] = {"RouteReq",   "RouteResp",     "JoinReq",
                               "JoinResp",   "ZoneUpdate",    "DimLoadReport",
-                              "NeighborHint"};
+                              "NeighborHint", "NeighborHello"};
 const char* kRnTreeTagNames[] = {"AggUpdate", "TokenPass", "TokenAck",
-                                 "SearchResult"};
+                                 "SearchResult", "AggAck"};
 const char* kGridTagNames[] = {
     "SubmitJob",  "SubmitAck",      "JobToOwner", "JobToOwnerAck",
     "DispatchJob", "DispatchResp",  "Heartbeat",  "HeartbeatAck",

@@ -1,6 +1,6 @@
 #pragma once
-// RN-Tree protocol messages: bottom-up aggregation updates and the token-DFS
-// extended search.
+// RN-Tree protocol messages: bottom-up aggregation updates (acknowledged by
+// the parent) and the token-DFS extended search.
 
 #include <cstdint>
 #include <vector>
@@ -19,21 +19,42 @@ enum MsgType : std::uint16_t {
   kTokenPass = net::kTagRnTreeBase + 1,
   kTokenAck = net::kTagRnTreeBase + 2,
   kSearchResult = net::kTagRnTreeBase + 3,
+  kAggAck = net::kTagRnTreeBase + 4,
 };
 
-/// Child -> parent, periodic: "here is my subtree's summary".
+/// Child -> parent, periodic RPC: "here is my subtree's summary". Carries
+/// the key the child resolved its parent from, so the receiver can say
+/// whether it still represents that key.
 struct AggUpdate final : net::Message {
   static constexpr std::uint16_t kType = kAggUpdate;
 
-  AggUpdate(Peer s, Aggregate a) : Message(kType), sender(s), aggregate(a) {}
+  AggUpdate(Peer s, Aggregate a, Guid key)
+      : Message(kType), sender(s), aggregate(a), parent_key(key) {}
 
   Peer sender;
   Aggregate aggregate;
+  Guid parent_key;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + kMaxResources * 8 + 12;
+    return 12 + kMaxResources * 8 + 12 + 8;
   }
   PGRID_MESSAGE_CLONE(AggUpdate)
+};
+
+/// Parent -> child reply to AggUpdate: `represents` is false when the
+/// child's parent key no longer lies in (receiver's predecessor, receiver],
+/// i.e. the child must look its parent up again.
+struct AggAck final : net::Message {
+  static constexpr std::uint16_t kType = kAggAck;
+
+  explicit AggAck(bool r) : Message(kType), represents(r) {}
+
+  bool represents;
+
+  [[nodiscard]] std::size_t payload_size() const noexcept override {
+    return 1;
+  }
+  PGRID_MESSAGE_CLONE(AggAck)
 };
 
 /// A matchmaking candidate discovered by the search.

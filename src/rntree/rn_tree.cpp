@@ -69,19 +69,23 @@ void RnTreeService::stop() {
   seen_tokens_.clear();
   seen_cursor_ = 0;
   parent_ = kNoPeer;
+  parent_key_ = Guid{};
+  parent_stale_ = false;
 }
 
 // --- tree structure ---------------------------------------------------------
 
-int RnTreeService::level() const {
-  const Guid self = chord_.id();
+bool RnTreeService::represents(Guid key) const {
   const chord::Peer pred = chord_.predecessor();
-  if (!pred.valid() || pred.addr == chord_.addr()) return 0;
+  if (!pred.valid() || pred.addr == chord_.addr()) return true;
+  return in_interval_oc(key, pred.id, chord_.id());
+}
+
+int RnTreeService::level() const {
+  const std::uint64_t self = chord_.id().value();
   for (int l = 0; l <= 64; ++l) {
     // We represent the region iff we are the Chord successor of its low key.
-    if (in_interval_oc(Guid{region_low(self.value(), l)}, pred.id, self)) {
-      return l;
-    }
+    if (represents(Guid{region_low(self, l)})) return l;
   }
   return 64;  // unreachable: l == 64 gives low == self, always in (pred, self]
 }
@@ -136,16 +140,35 @@ void RnTreeService::do_aggregation_push() {
     parent_ = kNoPeer;  // we are the root
     return;
   }
-  // Refresh the parent (soft state: the tree self-heals under churn) and
-  // push our aggregate to it.
-  chord_.lookup(parent_key(), [this](chord::Peer parent, int /*hops*/) {
+  // The parent is soft state: keep it while it acknowledges that it still
+  // represents our parent key, and look it up again only when there is
+  // none, the key moved with our predecessor, or the last push failed.
+  const Guid key = parent_key();
+  if (parent_.valid() && key == parent_key_ && !parent_stale_) {
+    push_aggregate();
+    return;
+  }
+  chord_.lookup(key, [this, key](chord::Peer parent, int /*hops*/) {
     if (!running_) return;
     if (!parent.valid() || parent.addr == chord_.addr()) return;
     parent_ = parent;
-    rpc_.send(parent.addr,
-              std::make_unique<AggUpdate>(chord_.self_peer(),
-                                          subtree_aggregate()));
+    parent_key_ = key;
+    parent_stale_ = false;
+    push_aggregate();
   });
+}
+
+void RnTreeService::push_aggregate() {
+  const Peer to = parent_;
+  rpc_.call(to.addr,
+            std::make_unique<AggUpdate>(chord_.self_peer(),
+                                        subtree_aggregate(), parent_key_),
+            config_.rpc_timeout, [this, to](net::MessagePtr reply) {
+              const bool kept =
+                  reply != nullptr &&
+                  net::msg_cast<AggAck>(reply.get())->represents;
+              if (!kept && parent_ == to) parent_stale_ = true;
+            });
 }
 
 // --- search ------------------------------------------------------------------
@@ -341,7 +364,7 @@ bool RnTreeService::handle(net::NodeAddr from, net::MessagePtr& msg) {
   }
   switch (msg->type()) {
     case kAggUpdate:
-      on_agg_update(*net::msg_cast<AggUpdate>(msg.get()));
+      on_agg_update(from, *net::msg_cast<AggUpdate>(msg.get()));
       return true;
     case kTokenPass:
       on_token(from, msg);
@@ -354,12 +377,16 @@ bool RnTreeService::handle(net::NodeAddr from, net::MessagePtr& msg) {
   }
 }
 
-void RnTreeService::on_agg_update(const AggUpdate& msg) {
+void RnTreeService::on_agg_update(net::NodeAddr from, const AggUpdate& msg) {
+  // Record the child even when refusing it: until its lookup finds the new
+  // representative, its tokens still ascend to this node, and this node is
+  // its subtree's only path into the root aggregate.
   ChildState& child = children_[msg.sender.addr];
   child.id = msg.sender.id;
   child.aggregate = msg.aggregate;
   child.last_heard = net_.simulator().now();
   child.phi.heartbeat(child.last_heard);
+  rpc_.reply(from, msg, std::make_unique<AggAck>(represents(msg.parent_key)));
 }
 
 void RnTreeService::on_token(net::NodeAddr from, net::MessagePtr& msg) {

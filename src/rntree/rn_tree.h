@@ -6,11 +6,12 @@
 // region iff it is the Chord successor of the region's low key, which it can
 // decide from its predecessor pointer alone. A node's level is the largest
 // region it represents; its parent is the representative of the enclosing
-// region, found with one Chord lookup. Expected height is O(log N) for
-// uniform GUIDs.
+// region, found with one Chord lookup and kept until it may be wrong.
+// Expected height is O(log N) for uniform GUIDs.
 //
 // Each node periodically pushes its subtree aggregate (per-resource maxima,
-// node count, minimum load) to its parent. Matchmaking searches are DFS
+// node count, minimum load) to its parent, which acknowledges whether it
+// still represents the child's parent key. Matchmaking searches are DFS
 // tokens: pruned by child aggregates, ascending toward the root, continuing
 // until k candidates are found (the paper's "extended search").
 
@@ -148,7 +149,13 @@ class RnTreeService {
     int lease_retries_left = 0;
   };
 
+  /// True iff `key` lies in (predecessor, self]: this node is its Chord
+  /// successor as far as local information can tell.
+  [[nodiscard]] bool represents(Guid key) const;
   void do_aggregation_push();
+  /// Push the subtree aggregate to parent_ as an RPC; a missing or refusing
+  /// AggAck marks the parent stale for the next round.
+  void push_aggregate();
   void expire_children();
   /// Token-lease expiry for `old_id`: the walk went silent with the token
   /// (holder crashed after acking custody). Re-issue it under a fresh
@@ -163,7 +170,7 @@ class RnTreeService {
   void forward_token(std::unique_ptr<TokenPass> token, Peer next);
   void finish_search(std::unique_ptr<TokenPass> token);
 
-  void on_agg_update(const AggUpdate& msg);
+  void on_agg_update(net::NodeAddr from, const AggUpdate& msg);
   void on_token(net::NodeAddr from, net::MessagePtr& msg);
   void on_search_result(const SearchResult& msg);
 
@@ -175,7 +182,12 @@ class RnTreeService {
   Rng rng_;
 
   bool running_ = false;
+  // The cached parent, the key it was resolved from, and whether the last
+  // push to it went unacknowledged or was refused. A stale parent still
+  // carries ascending tokens until the next round's lookup replaces it.
   Peer parent_ = kNoPeer;
+  Guid parent_key_;
+  bool parent_stale_ = false;
   // Flat sorted table: scanned on every token descent and aggregation push;
   // iteration order (sorted by address) matches the std::map it replaced.
   FlatMap<net::NodeAddr, ChildState> children_;

@@ -13,10 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "can/messages.h"
+#include "chord/messages.h"
 #include "grid/grid_system.h"
+#include "grid/messages.h"
 #include "obs/memory.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "rntree/messages.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
 
@@ -71,6 +75,63 @@ TEST(TraceBusWraparound, DroppedCountConsistentAcrossExporters) {
   // Retained events are the newest ones, oldest first.
   EXPECT_EQ(bus.at(0).a, 22u);
   EXPECT_EQ(bus.at(bus.size() - 1).a, 29u);
+}
+
+// --- satellite: Perfetto names for every message kind ---------------------
+
+TEST(TraceSpanNames, EveryDeclaredTagHasAName) {
+  struct Layer {
+    const char* prefix;
+    std::vector<std::uint16_t> tags;
+  };
+  const Layer layers[] = {
+      {"chord",
+       {chord::kNextHopReq, chord::kNextHopResp, chord::kStabilizeReq,
+        chord::kStabilizeResp, chord::kNotify, chord::kPingReq,
+        chord::kPingResp}},
+      {"can",
+       {can::kRouteReq, can::kRouteResp, can::kJoinReq, can::kJoinResp,
+        can::kZoneUpdate, can::kDimLoadReport, can::kNeighborHint,
+        can::kNeighborHello}},
+      {"rn",
+       {rntree::kAggUpdate, rntree::kTokenPass, rntree::kTokenAck,
+        rntree::kSearchResult, rntree::kAggAck}},
+      {"grid",
+       {grid::kSubmitJob, grid::kSubmitAck, grid::kJobToOwner,
+        grid::kJobToOwnerAck, grid::kDispatchJob, grid::kDispatchResp,
+        grid::kHeartbeat, grid::kHeartbeatAck, grid::kJobDone, grid::kResult,
+        grid::kOwnerHandoff, grid::kOwnerHandoffAck, grid::kJobFailed,
+        grid::kWalkProbe, grid::kWalkResult}},
+  };
+  sim::Simulator simulator;
+  TraceBus bus(simulator, 256);
+  std::uint32_t span = 0;
+  std::size_t declared = 0;
+  for (const Layer& layer : layers) {
+    for (const std::uint16_t tag : layer.tags) {
+      const TraceContext ctx{1, ++span, 0};
+      bus.record_span(EventKind::kSpanBegin, ctx, 0, 1, tag);
+      bus.record_span(EventKind::kSpanEnd, ctx, 1, 0, tag);
+      ++declared;
+    }
+  }
+  const std::string path = testing::TempDir() + "/p2pgrid_tag_names.json";
+  ASSERT_TRUE(bus.export_chrome_trace(path));
+  const std::string text = slurp(path);
+  std::remove(path.c_str());
+
+  std::size_t named = 0;
+  for (const Layer& layer : layers) {
+    const std::string fallback = std::string("\"") + layer.prefix + "+";
+    EXPECT_EQ(text.find(fallback), std::string::npos)
+        << "unnamed " << layer.prefix << " tag in " << text;
+    const std::string slice = std::string("\"name\":\"") + layer.prefix + "/";
+    for (auto pos = text.find(slice); pos != std::string::npos;
+         pos = text.find(slice, pos + 1)) {
+      ++named;
+    }
+  }
+  EXPECT_EQ(named, declared);
 }
 
 // --- tentpole: cross-node span trees --------------------------------------

@@ -1,12 +1,13 @@
 // RN-Tree: trie-region construction (levels, parents, single root), O(log N)
-// height, aggregation correctness vs an oracle, and the extended DFS search.
+// height, aggregation correctness vs an oracle, the cached parent and its
+// re-resolution, and the extended DFS search.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
-#include "chord/ring.h"
 #include "net/network.h"
 #include "rntree/rn_tree.h"
 #include "sim/simulator.h"
@@ -27,6 +28,10 @@ class RnHost final : public net::MessageHandler {
 
   void on_message(net::NodeAddr from, net::MessagePtr msg) override {
     if (chord_.handle(from, msg)) return;
+    if (msg->type() == kAggAck &&
+        !net::msg_cast<AggAck>(msg.get())->represents) {
+      refused_by.push_back(from);
+    }
     tree_.handle(from, msg);
   }
 
@@ -36,6 +41,8 @@ class RnHost final : public net::MessageHandler {
 
   Caps caps{};
   double load = 0.0;
+  /// Senders of every AggAck that refused this node's parent key.
+  std::vector<net::NodeAddr> refused_by;
 
  private:
   net::NodeAddr addr_;
@@ -48,17 +55,15 @@ struct Fixture {
       : net(simulator, Rng{seed},
             net::LatencyModel{sim::SimTime::millis(20),
                               sim::SimTime::millis(80)}),
-        ring(net, chord::ChordConfig{}, Rng{seed + 1}),
         rng(seed + 2) {}
 
   sim::Simulator simulator;
   net::Network net;
-  chord::ChordRing ring;  // only for oracle_successor; hosts are RnHosts
   Rng rng;
+  chord::ChordConfig chord_config;
   std::vector<std::unique_ptr<RnHost>> hosts;
 
   void build(std::size_t n, double settle_sec = 30.0) {
-    chord::ChordConfig chord_config;
     for (std::size_t i = 0; i < n; ++i) {
       hosts.push_back(std::make_unique<RnHost>(
           net, Guid::of(std::uint64_t{0xABCD} + i * 7919), chord_config,
@@ -83,18 +88,6 @@ struct Fixture {
       auto& c = hosts[order[pos % n]]->chord();
       return chord::Peer{c.addr(), c.id()};
     };
-    auto oracle = [&](Guid key) {
-      chord::Peer best = chord::kNoPeer;
-      std::uint64_t best_dist = 0;
-      for (auto& h : hosts) {
-        const std::uint64_t dist = key.clockwise_to(h->chord().id());
-        if (!best.valid() || dist < best_dist) {
-          best = chord::Peer{h->chord().addr(), h->chord().id()};
-          best_dist = dist;
-        }
-      }
-      return best;
-    };
     for (std::size_t pos = 0; pos < n; ++pos) {
       auto& node = hosts[order[pos]]->chord();
       std::vector<chord::Peer> succs;
@@ -103,15 +96,74 @@ struct Fixture {
       for (std::size_t k = 1; k <= len; ++k) succs.push_back(peer_at(pos + k));
       std::array<chord::Peer, chord::ChordNode::kBits> fingers{};
       for (int i = 0; i < chord::ChordNode::kBits; ++i) {
-        fingers[static_cast<std::size_t>(i)] =
-            oracle(Guid{node.id().value() + (std::uint64_t{1} << i)});
+        fingers[static_cast<std::size_t>(i)] = oracle_successor(
+            Guid{node.id().value() + (std::uint64_t{1} << i)});
       }
       node.install_state(peer_at(pos + n - 1), std::move(succs), fingers);
     }
   }
 
+  /// The Chord successor of `key` among the live hosts.
+  chord::Peer oracle_successor(Guid key) const {
+    chord::Peer best = chord::kNoPeer;
+    std::uint64_t best_dist = 0;
+    for (const auto& h : hosts) {
+      if (!net.alive(h->addr())) continue;
+      const std::uint64_t dist = key.clockwise_to(h->chord().id());
+      if (!best.valid() || dist < best_dist) {
+        best = h->chord().self_peer();
+        best_dist = dist;
+      }
+    }
+    return best;
+  }
+
   void settle(double seconds) {
     simulator.run_until(simulator.now() + sim::SimTime::seconds(seconds));
+  }
+
+  /// Run until `done()` holds, checking every 100 ms; false on timeout.
+  template <typename Pred>
+  bool settle_until(Pred done, double max_seconds) {
+    const auto deadline =
+        simulator.now() + sim::SimTime::seconds(max_seconds);
+    while (!done()) {
+      if (simulator.now() >= deadline) return false;
+      simulator.run_until(simulator.now() + sim::SimTime::millis(100));
+    }
+    return true;
+  }
+
+  /// Fail-stop crash of one host.
+  void crash(RnHost& h) {
+    net.set_alive(h.addr(), false);
+    h.tree().stop();
+    h.chord().crash();
+  }
+
+  /// True once every live host's successor and predecessor are the live
+  /// oracle's.
+  bool ring_repaired() const {
+    for (const auto& h : hosts) {
+      if (!net.alive(h->addr())) continue;
+      const chord::ChordNode& c = h->chord();
+      if (c.successor() != oracle_successor(Guid{c.id().value() + 1})) {
+        return false;
+      }
+      const chord::Peer pred = c.predecessor();
+      if (!pred.valid() || !net.alive(pred.addr) ||
+          oracle_successor(Guid{pred.id.value() + 1}) != c.self_peer()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  RnHost* root() {
+    for (auto& h : hosts) {
+      if (net.alive(h->addr()) && h->tree().is_root()) return h.get();
+    }
+    return nullptr;
   }
 
   /// Root count and reachability of all nodes by following parents.
@@ -201,10 +253,7 @@ TEST(RnTreeStructure, LevelsAreConsistentWithParents) {
 TEST(RnTreeAggregation, RootAggregateCoversAllNodes) {
   Fixture fx{5};
   fx.build(48, 60.0);
-  RnHost* root = nullptr;
-  for (auto& h : fx.hosts) {
-    if (h->tree().is_root()) root = h.get();
-  }
+  RnHost* root = fx.root();
   ASSERT_NE(root, nullptr);
   const Aggregate agg = root->tree().subtree_aggregate();
   EXPECT_EQ(agg.nodes, 48u);
@@ -226,12 +275,112 @@ TEST(RnTreeAggregation, MinLoadPropagates) {
   for (auto& h : fx.hosts) h->load = 10.0;
   fx.hosts[17]->load = 1.5;
   fx.settle(30);
-  RnHost* root = nullptr;
+  ASSERT_NE(fx.root(), nullptr);
+  EXPECT_DOUBLE_EQ(fx.root()->tree().subtree_aggregate().min_load, 1.5);
+}
+
+// --- cached parent ----------------------------------------------------------
+
+TEST(RnTreeCachedParent, SteadyStateSendsNoParentLookups) {
+  Fixture fx{21};
+  // Without Chord maintenance every Chord lookup is an RN-tree one.
+  fx.chord_config.run_maintenance = false;
+  fx.build(64);
+  const auto lookups = [&] {
+    std::uint64_t sum = 0;
+    for (auto& h : fx.hosts) sum += h->chord().stats().lookups_started;
+    return sum;
+  };
+  const std::uint64_t settled = lookups();
+  ASSERT_GT(settled, 0u);  // the first round looked every parent up
+
+  fx.settle(10 * RnTreeConfig{}.aggregation_period.sec());
+  EXPECT_EQ(lookups(), settled);
   for (auto& h : fx.hosts) {
-    if (h->tree().is_root()) root = h.get();
+    if (h->tree().is_root()) continue;
+    EXPECT_EQ(h->tree().cached_parent(),
+              fx.oracle_successor(h->tree().parent_key()));
   }
-  ASSERT_NE(root, nullptr);
-  EXPECT_DOUBLE_EQ(root->tree().subtree_aggregate().min_load, 1.5);
+  ASSERT_NE(fx.root(), nullptr);
+  EXPECT_EQ(fx.root()->tree().subtree_aggregate().nodes, 64u);
+}
+
+TEST(RnTreeCachedParent, ReResolvesParentAfterCrash) {
+  Fixture fx{22};
+  fx.build(64);
+  // The non-root node with the most children.
+  RnHost* victim = nullptr;
+  for (auto& h : fx.hosts) {
+    if (h->tree().is_root()) continue;
+    if (victim == nullptr ||
+        h->tree().child_count() > victim->tree().child_count()) {
+      victim = h.get();
+    }
+  }
+  ASSERT_NE(victim, nullptr);
+  std::vector<RnHost*> children;
+  for (auto& h : fx.hosts) {
+    if (h->tree().cached_parent().addr == victim->addr()) {
+      children.push_back(h.get());
+    }
+  }
+  ASSERT_GE(children.size(), 2u);
+
+  fx.crash(*victim);
+  // Until Chord has repaired the ring, a lookup can still return the dead
+  // node. From then on, a child notices within one unacknowledged push
+  // (rpc_timeout) and looks its parent up in the round after.
+  ASSERT_TRUE(fx.settle_until([&] { return fx.ring_repaired(); }, 60));
+  const RnTreeConfig config;
+  fx.settle((config.rpc_timeout + config.aggregation_period * 2).sec());
+  for (RnHost* c : children) {
+    EXPECT_EQ(c->tree().cached_parent(),
+              fx.oracle_successor(c->tree().parent_key()));
+  }
+  // Refused and dead children expire, and the repaired subtrees' counts
+  // reach the root one level per aggregation period.
+  fx.settle(config.child_expiry.sec() +
+            20 * config.aggregation_period.sec());
+  ASSERT_NE(fx.root(), nullptr);
+  EXPECT_EQ(fx.root()->tree().subtree_aggregate().nodes, 63u);
+}
+
+TEST(RnTreeCachedParent, ReResolvesParentAfterJoin) {
+  Fixture fx{23};
+  fx.build(64);
+  // A child whose parent key is no node's Guid, so a node can join there.
+  RnHost* child = nullptr;
+  for (auto& h : fx.hosts) {
+    if (h->tree().is_root()) continue;
+    if (fx.oracle_successor(h->tree().parent_key()).id ==
+        h->tree().parent_key()) {
+      continue;
+    }
+    child = h.get();
+    break;
+  }
+  ASSERT_NE(child, nullptr);
+  const Guid key = child->tree().parent_key();
+  const chord::Peer old_parent = child->tree().cached_parent();
+  ASSERT_EQ(old_parent, fx.oracle_successor(key));
+
+  fx.hosts.push_back(std::make_unique<RnHost>(
+      fx.net, key, fx.chord_config, RnTreeConfig{}, fx.rng.fork(1000)));
+  RnHost& newcomer = *fx.hosts.back();
+  bool joined = false;
+  newcomer.chord().join(old_parent, [&](bool ok) {
+    joined = ok;
+    if (ok) newcomer.tree().start();
+  });
+  fx.settle(30);
+  ASSERT_TRUE(joined);
+  // The newcomer took the key from the old parent, which refused the
+  // child's next push; the child's own key did not move.
+  EXPECT_EQ(child->tree().parent_key(), key);
+  EXPECT_NE(std::find(child->refused_by.begin(), child->refused_by.end(),
+                      old_parent.addr),
+            child->refused_by.end());
+  EXPECT_EQ(child->tree().cached_parent(), newcomer.chord().self_peer());
 }
 
 TEST(RnTreeSearch, FindsSatisfyingNodeWhenOneExists) {
@@ -309,11 +458,7 @@ TEST(RnTreeSearch, SearchSurvivesNodeFailures) {
   fx.hosts[30]->caps[2] = 5.0;
   fx.settle(60);
   // Crash a handful of nodes (none of them the target or initiator).
-  for (std::size_t i : {7u, 19u, 41u}) {
-    fx.net.set_alive(fx.hosts[i]->addr(), false);
-    fx.hosts[i]->tree().stop();
-    fx.hosts[i]->chord().crash();
-  }
+  for (std::size_t i : {7u, 19u, 41u}) fx.crash(*fx.hosts[i]);
   Query q;
   q.constrained[2] = true;
   q.min[2] = 4.0;
