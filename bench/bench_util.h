@@ -158,7 +158,7 @@ struct CellResult {
   std::uint64_t pushes = 0;
   std::uint64_t forwards = 0;
   // Maintenance batching (DESIGN.md §16): envelopes on the wire and the
-  // logical messages they carried. Zero when GridConfig::batching is off.
+  // logical messages they carried.
   std::uint64_t batches_sent = 0;
   std::uint64_t batch_parts_sent = 0;
   std::uint64_t batches_delivered = 0;

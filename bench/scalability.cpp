@@ -6,19 +6,17 @@
 //
 // Nodes sweep {128..max} with jobs = 5 x nodes (constant per-node load);
 // reports wait time, overlay hops, and messages per job for RN and CAN.
+// RN and CAN also run at 4096 and 10240 nodes, the large-N rows, unless
+// --max-batched caps them. --mega-can=1 additionally runs a gated 100k-node
+// CAN bootstrap + short steady-state smoke.
 //
-// A second series re-runs RN and CAN at {1024, 2048, 4096, 10240} (capped by
-// --max-batched) with maintenance batching on (DESIGN.md §16): the large-N
-// rows the unbatched protocols cannot reach in reasonable wall time, plus an
-// A/B traffic ratio at the sizes both series cover. --mega-can=1 additionally
-// runs a gated 100k-node CAN bootstrap + short steady-state smoke.
-//
-// Sharded engine (DESIGN.md §17): --shards=N re-runs the batched large-N
-// series on N worker shards and reports wall_ms per row. --shards-ab=N runs
-// the determinism + speedup gate on one cell (--ab-nodes=1024): shards=1 and
-// shards=N must produce bit-identical aggregates, and N shards must be >= 2x
-// faster than one when the host has at least N cores (the speedup check is
-// skipped, not failed, on smaller machines).
+// Sharded engine (DESIGN.md §17): --shards=N re-runs RN and CAN at
+// {1024, 2048, 4096, 10240} (capped by --max-batched) on N worker shards and
+// reports wall_ms per row. --shards-ab=N runs the determinism + speedup gate
+// on one cell (--ab-nodes=1024): shards=1 and shards=N must produce
+// bit-identical aggregates, and N shards must be >= 2x faster than one when
+// the host has at least N cores (the speedup check is skipped, not failed,
+// on smaller machines).
 
 #include <chrono>
 #include <cmath>
@@ -52,24 +50,22 @@ int main(int argc, char** argv) {
   struct Cell {
     std::size_t nodes;
     MatchmakerKind kind;
-    bool batching;
   };
   std::vector<Cell> cells;
   for (std::size_t n : sizes) {
-    for (MatchmakerKind kind : kinds) cells.push_back(Cell{n, kind, false});
+    for (MatchmakerKind kind : kinds) cells.push_back(Cell{n, kind});
   }
-  // The batched large-N series (overlay matchmakers only: batching targets
-  // maintenance traffic, which the centralized baseline does not generate).
-  for (std::size_t n : {std::size_t{1024}, std::size_t{2048},
-                        std::size_t{4096}, std::size_t{10240}}) {
-    if (n > max_batched) continue;
-    cells.push_back(Cell{n, MatchmakerKind::kRnTree, true});
-    cells.push_back(Cell{n, MatchmakerKind::kCanBasic, true});
+  // The large-N rows: overlay matchmakers only, whose maintenance is what
+  // grows with N.
+  for (std::size_t n : {std::size_t{4096}, std::size_t{10240}}) {
+    if (n <= max_nodes || n > max_batched) continue;
+    cells.push_back(Cell{n, MatchmakerKind::kRnTree});
+    cells.push_back(Cell{n, MatchmakerKind::kCanBasic});
   }
 
   // Per-cell seeds: workload varies per size (same workload across the
-  // matchmakers and across batching on/off at one size, so those rows stay
-  // comparable); the system stream is disjoint from every workload stream.
+  // matchmakers at one size, so those rows stay comparable); the system
+  // stream is disjoint from every workload stream.
   std::vector<std::uint64_t> seed_audit;
   for (std::size_t n : sizes) {
     seed_audit.push_back(derive_seed(base.seed, SeedStream::kWorkload, n));
@@ -97,7 +93,6 @@ int main(int argc, char** argv) {
         const auto pool_before = net::MessagePool::stats();
         grid::GridConfig gc = make_grid_config(
             cell.kind, derive_seed(base.seed, SeedStream::kSystem));
-        gc.batching.enabled = cell.batching;
         // Streaming aggregates: the scaling sweep's job count grows with the
         // node count, so per-job records would dominate memory at the top end.
         gc.obs.streaming_metrics = true;
@@ -109,16 +104,15 @@ int main(int argc, char** argv) {
       });
 
   print_header("Scaling of wait time and overlay cost");
-  std::printf("%-8s %-13s %-6s %10s %10s %12s %12s %12s\n", "nodes",
-              "matchmaker", "batch", "wait-avg", "wait-sd", "hops/job",
-              "msgs/job", "completed");
+  std::printf("%-8s %-13s %10s %10s %12s %12s %12s\n", "nodes",
+              "matchmaker", "wait-avg", "wait-sd", "hops/job", "msgs/job",
+              "completed");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     const CellResult& r = results[i];
-    std::printf("%-8zu %-13s %-6s %10.1f %10.1f %12.2f %12.0f %11.1f%%\n",
-                cell.nodes, grid::matchmaker_name(cell.kind),
-                cell.batching ? "on" : "off", r.wait_avg, r.wait_stdev,
-                r.injection_hops_avg + r.match_hops_avg,
+    std::printf("%-8zu %-13s %10.1f %10.1f %12.2f %12.0f %11.1f%%\n",
+                cell.nodes, grid::matchmaker_name(cell.kind), r.wait_avg,
+                r.wait_stdev, r.injection_hops_avg + r.match_hops_avg,
                 static_cast<double>(r.messages) /
                     static_cast<double>(cell.nodes * 5),
                 100.0 * r.completed_fraction);
@@ -128,61 +122,22 @@ int main(int argc, char** argv) {
   BenchJson json = BenchJson::open(config, "scalability");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const std::string label = std::to_string(cell.nodes) + "/" +
-                              grid::matchmaker_name(cell.kind) +
-                              (cell.batching ? "/batched" : "");
+    const std::string label =
+        std::to_string(cell.nodes) + "/" + grid::matchmaker_name(cell.kind);
     print_summary_line(label, results[i]);
     json.row(label, results[i]);
   }
-
-  // A/B traffic ratio at the sizes both series cover: the headline batching
-  // win (wire messages and bytes saved by coalescing maintenance rounds).
-  print_header("Batching A/B (same size+matchmaker, off vs on)");
-  std::printf("%-8s %-13s %14s %14s %10s %10s\n", "nodes", "matchmaker",
-              "msgs-off", "msgs-on", "msg-ratio", "byte-ratio");
   bool gate_failed = false;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!cells[i].batching) continue;
-    for (std::size_t j = 0; j < cells.size(); ++j) {
-      if (cells[j].batching || cells[j].nodes != cells[i].nodes ||
-          cells[j].kind != cells[i].kind) {
-        continue;
-      }
-      const double msg_ratio = results[i].messages == 0
-                                   ? 0.0
-                                   : static_cast<double>(results[j].messages) /
-                                         static_cast<double>(results[i].messages);
-      const double byte_ratio =
-          results[i].bytes_sent == 0
-              ? 0.0
-              : static_cast<double>(results[j].bytes_sent) /
-                    static_cast<double>(results[i].bytes_sent);
-      std::printf("%-8zu %-13s %14" PRIu64 " %14" PRIu64 " %9.2fx %9.2fx\n",
-                  cells[i].nodes, grid::matchmaker_name(cells[i].kind),
-                  results[j].messages, results[i].messages, msg_ratio,
-                  byte_ratio);
-      // The headline gate: CAN maintenance dominates wire traffic at scale,
-      // so coalescing must buy >= 4x at 2048 nodes and beyond whenever both
-      // series cover the size. RN-tree is reported but not gated — its
-      // traffic is matchmaking tokens, which batching leaves alone.
-      if (cells[i].kind == MatchmakerKind::kCanBasic &&
-          cells[i].nodes >= 2048 && msg_ratio < 4.0) {
-        std::fprintf(stderr,
-                     "FAIL: CAN batching ratio %.2fx < 4x at %zu nodes\n",
-                     msg_ratio, cells[i].nodes);
-        gate_failed = true;
-      }
-    }
-  }
+
   // --- sharded engine series (--shards=N, DESIGN.md §17) --------------------
-  // The batched large-N cells again, on N worker shards. Cells run one at a
+  // RN and CAN from 1024 nodes up, on N worker shards. Cells run one at a
   // time — each already spawns its own shard workers, so sweeping them in
   // parallel on top would oversubscribe the host.
   const auto shard_count =
       static_cast<std::size_t>(config.get_int("shards", 0));
   if (shard_count > 0) {
-    print_header("Sharded engine (batched maintenance, " +
-                 std::to_string(shard_count) + " shards)");
+    print_header("Sharded engine (" + std::to_string(shard_count) +
+                 " shards)");
     std::printf("%-8s %-13s %12s %12s %10s %10s\n", "nodes", "matchmaker",
                 "wall-ms", "events", "ev/s-k", "completed");
     for (std::size_t n : {std::size_t{1024}, std::size_t{2048},
@@ -200,7 +155,6 @@ int main(int argc, char** argv) {
                       derive_seed(base.seed, SeedStream::kWorkload, n));
         grid::GridConfig gc = make_grid_config(
             kind, derive_seed(base.seed, SeedStream::kSystem));
-        gc.batching.enabled = true;
         gc.shards = shard_count;
         grid::GridSystem system(gc, workload::generate(spec));
         system.run();
@@ -237,7 +191,6 @@ int main(int argc, char** argv) {
       grid::GridConfig gc = make_grid_config(
           MatchmakerKind::kCanBasic, derive_seed(base.seed,
                                                  SeedStream::kSystem));
-      gc.batching.enabled = true;
       gc.shards = shards;
       grid::GridSystem system(gc, w);
       system.run();
@@ -345,15 +298,15 @@ int main(int argc, char** argv) {
     }
   }
   // --- gated 100k-node CAN smoke (--mega-can=1) -----------------------------
-  // Bootstrap (instant wiring) plus a fixed batched steady-state window: the
+  // Bootstrap (instant wiring) plus a fixed steady-state window: the
   // "does the 10k barrier actually move" check. The window is bounded (not
   // run-to-completion) on purpose: at this scale a handful of straggler jobs
   // would otherwise drag the cell to the 20000 s completion horizon, and the
-  // smoke's question — does a 100k-node CAN build, stay live, and move jobs
-  // under batched maintenance — is answered well before that. Excluded from
-  // the default run because it needs a release build and a few GB of RAM.
+  // smoke's question — does a 100k-node CAN build, stay live, and move
+  // jobs — is answered well before that. Excluded from the default run
+  // because it needs a release build and a few GB of RAM.
   if (config.get_bool("mega-can", false)) {
-    print_header("Mega-CAN smoke: 100k nodes, batched maintenance");
+    print_header("Mega-CAN smoke: 100k nodes");
     Scale scale = base;
     scale.nodes = 100000;
     scale.jobs = 2000;  // a short arrival burst, not a full sweep cell
@@ -364,20 +317,19 @@ int main(int argc, char** argv) {
         derive_seed(base.seed, SeedStream::kWorkload, scale.nodes));
     grid::GridConfig gc = make_grid_config(
         MatchmakerKind::kCanBasic, derive_seed(base.seed, SeedStream::kSystem));
-    gc.batching.enabled = true;
     gc.obs.streaming_metrics = true;
     const auto pool_before = net::MessagePool::stats();
     grid::GridSystem system(gc, workload::generate(spec));
     system.run_for(config.get_double("mega-window", 900.0));
     CellResult r = summarize(system);
     attach_pool_stats(r, pool_before);
-    print_summary_line("100000/can/batched", r);
+    print_summary_line("100000/can", r);
     std::printf("completed %.1f%% within the %.0f s window, build %.1fs, "
                 "peak table memory %.1f MB\n",
                 100.0 * r.completed_fraction,
                 config.get_double("mega-window", 900.0), r.build_wall_sec,
                 static_cast<double>(r.mem_total_bytes) / 1e6);
-    json.row("100000/can/batched", r);
+    json.row("100000/can", r);
     if (r.completed_fraction <= 0.0) {
       std::fprintf(stderr, "FAIL: mega-CAN smoke completed no jobs\n");
       gate_failed = true;

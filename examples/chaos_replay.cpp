@@ -7,7 +7,7 @@
 //
 //   ./chaos_replay [--kind=rn-tree] [--seed=1] [--nodes=20] [--jobs=40]
 //                  [--rounds=6] [--trace=1] [--correlated] [--flapping]
-//                  [--self-healing] [--batching]
+//                  [--self-healing]
 //
 // --correlated / --flapping extend the drawn fault classes with
 // topology-correlated crash bursts (a contiguous Chord arc / CAN slab) and
@@ -15,8 +15,6 @@
 // they are part of the replay identity and appear in replay commands.
 // --self-healing turns on φ-accrual liveness and the online anti-entropy
 // audits on every node.
-// --batching runs with maintenance batching on (quiet_stride pinned to 1 so
-// the fault schedule and detection cadence are unchanged; see DESIGN.md §16).
 //
 // --matrix ignores the single-schedule flags and runs the standard 24-cell
 // matrix (rn-tree/can/can-push x seeds 1..8) through parallel_for_cells;
@@ -50,8 +48,6 @@ int main(int argc, char** argv) {
       config.set("flapping", "1");
     } else if (token == "--self-healing") {
       config.set("self-healing", "1");
-    } else if (token == "--batching") {
-      config.set("batching", "1");
     } else if (token == "--matrix") {
       config.set("matrix", "1");
     } else if (token == "--extended") {
@@ -127,7 +123,6 @@ int main(int argc, char** argv) {
   cfg.enable_correlated = config.get_bool("correlated", false);
   cfg.enable_flapping = config.get_bool("flapping", false);
   cfg.self_healing = config.get_bool("self-healing", false);
-  cfg.batching = config.get_bool("batching", false);
   cfg.trace = config.get_bool("trace", false);
   cfg.verbose = config.get_bool("verbose", false);
   if (cfg.trace) {

@@ -22,12 +22,6 @@
 // off) enables the online anti-entropy audits (owner records, CAN tiling,
 // RN-tree search-token leases) at that period.
 //
-// Batching keys (DESIGN.md §16): --batching coalesces same-destination
-// maintenance traffic into one wire message per node pair per round;
-// --batching-stride=N (1) decimates CAN quiet-neighbor contacts to every
-// Nth round. Off by default: batching-off runs are byte-identical to
-// pre-batching builds.
-//
 // Observability keys: --trace[=path] writes a Chrome trace_event JSON
 // (default trace.json, load at https://ui.perfetto.dev), --trace-jsonl=path
 // writes the raw events as JSONL, --trace-capacity=N sizes the event ring
@@ -78,8 +72,6 @@ int main(int argc, char** argv) {
       config.set("timeseries", "1");
     } else if (token == "--phi") {
       config.set("phi", "1");
-    } else if (token == "--batching") {
-      config.set("batching", "1");
     } else {
       std::fprintf(stderr, "error: unrecognized argument %s\n", token.c_str());
       return 2;
@@ -143,14 +135,6 @@ int main(int argc, char** argv) {
         config.get_double("phi-suspect", gc.node.phi.suspect_threshold);
     gc.node.phi.evict_threshold =
         config.get_double("phi-evict", gc.node.phi.evict_threshold);
-  }
-  // --batching coalesces same-destination maintenance traffic into one wire
-  // message per node pair per round (DESIGN.md §16); --batching-stride tunes
-  // the CAN quiet-neighbor decimation (1 = coalescing only).
-  if (config.get_bool("batching", false)) {
-    gc.batching.enabled = true;
-    gc.batching.quiet_stride = static_cast<std::uint32_t>(config.get_int(
-        "batching-stride", static_cast<std::int64_t>(gc.batching.quiet_stride)));
   }
   const double audit_sec = config.get_double("audit-period", 0.0);
   if (audit_sec > 0.0) {

@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "net/batch.h"
+
 namespace pgrid::can {
 
 namespace {
@@ -600,31 +602,24 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
 void CanNode::settle_grant(net::NodeAddr from, const ZoneUpdate& msg) {
   auto git = pending_grants_.find(from);
   if (git == pending_grants_.end()) return;
+  // The claim must contain the whole granted zone. A grantee that
+  // installed the grant claims exactly it; a partial overlap is a stale
+  // pre-grant snapshot (the fault plane replaying the joiner's previous
+  // life, whose old zone can sit inside the larger regrant). Confirming on
+  // such a claim strands the grant: nobody owns it and nobody tracks it. A
+  // false *reclaim*, by contrast, self-corrects through the double-claim
+  // GUID rule, so when in doubt reclaim.
   bool covers = false;
   for (const Zone& z : msg.zones()) {
-    if (config_.batching.enabled) {
-      // Strict rule: the claim must contain the whole granted zone. A
-      // grantee that installed the grant claims exactly it; a partial
-      // overlap is a stale pre-grant snapshot (the fault plane replaying
-      // the joiner's previous life, whose old zone can sit inside the
-      // larger regrant). Confirming on such a claim strands the grant:
-      // nobody owns it and nobody tracks it. A false *reclaim*, by
-      // contrast, self-corrects through the double-claim GUID rule, so
-      // when in doubt reclaim. (Batched-mode only: the unbatched protocol
-      // keeps its original byte-for-byte behavior.)
-      bool contains = true;
-      for (std::size_t d = 0; d < config_.dims; ++d) {
-        if (z.lo()[d] > git->second.lo()[d] ||
-            z.hi()[d] < git->second.hi()[d]) {
-          contains = false;
-          break;
-        }
-      }
-      if (contains) {
-        covers = true;
+    bool contains = true;
+    for (std::size_t d = 0; d < config_.dims; ++d) {
+      if (z.lo()[d] > git->second.lo()[d] ||
+          z.hi()[d] < git->second.hi()[d]) {
+        contains = false;
         break;
       }
-    } else if (z.overlaps(git->second)) {
+    }
+    if (contains) {
       covers = true;
       break;
     }
@@ -781,53 +776,13 @@ void CanNode::do_update() {
   PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kOverlayMaintain, addr(),
                     obs::kNoActor, 4, 0,
                     static_cast<double>(neighbors_.size()));
-  if (config_.batching.enabled) {
-    do_batched_round();
-    return;
-  }
-  broadcast_zone_update();
-  send_dim_load_reports();
-  // Probe one lost peer per round: if it is alive (healed partition,
-  // restarted node) the zone exchange re-links the tables and any double
-  // claim resolves via resolve_conflict.
-  if (!lost_.empty()) {
-    send_zone_update(lost_[lost_cursor_++ % lost_.size()].addr);
-  }
-  // Failure detection: schedule takeover for stale neighbors. With φ on,
-  // staleness is judged against the neighbor's learned update cadence;
-  // suspect-level silence only re-sends our claim (re-links tables that
-  // went asymmetric) instead of arming the takeover timer.
-  const auto now = net_.simulator().now();
-  for (const auto& [naddr, ns] : neighbors_) {
-    if (config_.phi.enabled) {
-      if (ns.phi.evict(now, config_.phi, config_.neighbor_timeout)) {
-        schedule_takeover(naddr);
-      } else if (ns.phi.suspect(now, config_.phi, config_.neighbor_timeout) &&
-                 takeover_timers_.find(naddr) == takeover_timers_.end()) {
-        ++stats_.suspicions;
-        PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect, addr(),
-                          naddr, 2, 0,
-                          ns.phi.phi(now, config_.phi,
-                                     config_.neighbor_timeout));
-        send_zone_update(naddr);
-      }
-    } else if (now - ns.last_heard > config_.neighbor_timeout) {
-      schedule_takeover(naddr);
-    }
-  }
-}
-
-void CanNode::do_batched_round() {
   // One batch scope for the whole round: everything below addressed to the
   // same neighbor — snapshot or hello plus its dim-load reports — leaves as
   // a single wire message, and the replies coalesce symmetrically.
   const net::BatchScope batch(net_, addr());
-  const auto stride =
-      std::max<std::uint32_t>(1, config_.batching.quiet_stride);
-  ++round_;
 
-  // Per-dimension upstream blends, computed once per round (the unbatched
-  // path recomputes the same value per dimension; same numbers).
+  // Per-dimension load reports: our load blended with the report heard
+  // from above, pushed to every neighbor strictly below us.
   std::array<double, kMaxDims> report{};
   for (std::size_t d = 0; d < config_.dims; ++d) {
     const double above = upstream_load_[d];
@@ -836,11 +791,11 @@ void CanNode::do_batched_round() {
                                   (1.0 - config_.push_alpha) * above;
   }
 
+  // Every neighbor is contacted every round: CAN-push matches on the
+  // dim-load reports riding these contacts, and a sparser cadence measured
+  // far longer CAN-push waits (DESIGN.md §16).
   std::shared_ptr<const ZoneUpdate::Snapshot> snap;  // built on first use
   for (auto& [naddr, ns] : neighbors_) {
-    // Contact each neighbor every stride-th round, spread by address so a
-    // given round touches ~1/stride of the neighborhood.
-    if ((round_ + naddr) % stride != 0) continue;
     ++ns.contacts_since_full;
     const bool full = ns.full_sent_version != zones_version_ ||
                       ns.contacts_since_full >= kFullRefreshContacts;
@@ -851,7 +806,9 @@ void CanNode::do_batched_round() {
       rpc_.send(naddr, std::make_unique<NeighborHello>(
                            self_peer(), zones_version_, update_seq_, load_));
     }
-    // This neighbor's dim-load reports ride the same envelope.
+    // This neighbor's dim-load reports ride the same envelope. "Below
+    // along d": some zone of theirs abuts some zone of ours with their high
+    // face touching our low face in dimension d.
     for (std::size_t d = 0; d < config_.dims; ++d) {
       bool below = false;
       for (const Zone& mz : zones_) {
@@ -870,7 +827,9 @@ void CanNode::do_batched_round() {
     }
   }
 
-  // Lost-peer probe, one per round, exactly as in the unbatched path.
+  // Probe one lost peer per round: if it is alive (healed partition,
+  // restarted node) the zone exchange re-links the tables and any double
+  // claim resolves via resolve_conflict.
   if (!lost_.empty()) {
     send_zone_update(lost_[lost_cursor_++ % lost_.size()].addr);
   }
@@ -899,25 +858,25 @@ void CanNode::do_batched_round() {
     broadcast_zone_update();
   }
 
-  // Failure detection with deadlines scaled by the contact stride, so the
-  // detector tolerates the same number of missed *contacts* as the
-  // unbatched protocol before acting. φ adapts on its own (it learns the
-  // actual inter-arrival cadence) but keeps the same scaled fallback.
-  const auto deadline = config_.neighbor_timeout * static_cast<int>(stride);
+  // Failure detection: schedule takeover for stale neighbors. With φ on,
+  // staleness is judged against the neighbor's learned update cadence;
+  // suspect-level silence only re-sends our claim (re-links tables that
+  // went asymmetric) instead of arming the takeover timer.
   const auto now = net_.simulator().now();
   for (const auto& [naddr, ns] : neighbors_) {
     if (config_.phi.enabled) {
-      if (ns.phi.evict(now, config_.phi, deadline)) {
+      if (ns.phi.evict(now, config_.phi, config_.neighbor_timeout)) {
         schedule_takeover(naddr);
-      } else if (ns.phi.suspect(now, config_.phi, deadline) &&
+      } else if (ns.phi.suspect(now, config_.phi, config_.neighbor_timeout) &&
                  takeover_timers_.find(naddr) == takeover_timers_.end()) {
         ++stats_.suspicions;
         PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect, addr(),
                           naddr, 2, 0,
-                          ns.phi.phi(now, config_.phi, deadline));
+                          ns.phi.phi(now, config_.phi,
+                                     config_.neighbor_timeout));
         send_zone_update(naddr);
       }
-    } else if (now - ns.last_heard > deadline) {
+    } else if (now - ns.last_heard > config_.neighbor_timeout) {
       schedule_takeover(naddr);
     }
   }
@@ -953,14 +912,12 @@ void CanNode::send_zone_update(net::NodeAddr to) {
 
 void CanNode::send_zone_update(
     net::NodeAddr to, std::shared_ptr<const ZoneUpdate::Snapshot> snap) {
-  if (config_.batching.enabled) {
-    // Any full send — periodic, broadcast, suspicion re-link — marks the
-    // receiver as holding this snapshot version, so the next batched
-    // contact can downgrade to a hello.
-    if (auto it = neighbors_.find(to); it != neighbors_.end()) {
-      it->second.full_sent_version = snap->zones_version;
-      it->second.contacts_since_full = 0;
-    }
+  // Any full send — periodic, broadcast, suspicion re-link — marks the
+  // receiver as holding this snapshot version, so the next round's contact
+  // can downgrade to a hello.
+  if (auto it = neighbors_.find(to); it != neighbors_.end()) {
+    it->second.full_sent_version = snap->zones_version;
+    it->second.contacts_since_full = 0;
   }
   auto msg = std::make_unique<ZoneUpdate>(std::move(snap));
   msg->seq = ++update_seq_;
@@ -977,36 +934,6 @@ void CanNode::broadcast_zone_update(const std::vector<net::NodeAddr>& extra) {
   for (net::NodeAddr a : extra) {
     if (neighbors_.find(a) == neighbors_.end() && a != addr()) {
       send_zone_update(a, snap);
-    }
-  }
-}
-
-void CanNode::send_dim_load_reports() {
-  // For each dimension: blend our load with the report heard from above and
-  // push the result to every neighbor strictly below us in that dimension.
-  for (std::size_t d = 0; d < config_.dims; ++d) {
-    const double above = upstream_load_[d];
-    const double report = above < 0.0
-                              ? load_
-                              : config_.push_alpha * load_ +
-                                    (1.0 - config_.push_alpha) * above;
-    for (const auto& [naddr, ns] : neighbors_) {
-      // "Below along d": some zone of theirs abuts some zone of ours with
-      // their high face touching our low face in dimension d.
-      bool below = false;
-      for (const Zone& mz : zones_) {
-        for (const Zone& oz : ns.zones) {
-          if (oz.hi()[d] == mz.lo()[d] && mz.abuts(oz)) {
-            below = true;
-            break;
-          }
-        }
-        if (below) break;
-      }
-      if (below) {
-        rpc_.send(naddr, std::make_unique<DimLoadReport>(
-                             static_cast<std::uint32_t>(d), report));
-      }
     }
   }
 }

@@ -18,7 +18,6 @@
 #include "common/phi_detector.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "net/batch.h"
 #include "net/network.h"
 #include "net/rpc.h"
 #include "sim/simulator.h"
@@ -51,13 +50,6 @@ struct CanConfig {
   /// node claims (a hole left by a correlated crash of a whole region) is
   /// claimed by the prober, bounded by its own zone extents.
   sim::SimTime audit_period = sim::SimTime::zero();
-  /// Maintenance batching (DESIGN.md §16). When enabled each round runs in
-  /// a batch scope (ZoneUpdate + DimLoadReports to one neighbor share a
-  /// wire message), each neighbor is contacted every quiet_stride-th round
-  /// with staleness deadlines scaled to match, and a contact whose zone
-  /// snapshot the neighbor already holds sends a compact NeighborHello
-  /// instead of a full ZoneUpdate.
-  net::BatchingConfig batching;
 };
 
 struct CanStats {
@@ -91,11 +83,10 @@ struct NeighborState {
   /// Update inter-arrival history for φ-accrual liveness (CanConfig::phi).
   /// Recorded unconditionally (cheap), consulted only when enabled.
   PhiDetector phi;
-  /// Batched maintenance bookkeeping (CanConfig::batching; untouched when
-  /// batching is off): our zones_version when this neighbor last received a
-  /// full snapshot from us (0 = never), and contacts since that full — a
-  /// periodic forced refresh bounds how long a lost full can leave the
-  /// neighbor stale.
+  /// Maintenance-round bookkeeping: our zones_version when this neighbor
+  /// last received a full snapshot from us (0 = never), and contacts since
+  /// that full — a periodic forced refresh bounds how long a lost full can
+  /// leave the neighbor stale.
   std::uint64_t full_sent_version = 0;
   std::uint32_t contacts_since_full = 0;
 };
@@ -208,11 +199,10 @@ class CanNode {
   void on_neighbor_hello(net::NodeAddr from, const NeighborHello& msg);
 
   void start_maintenance();
+  /// Maintenance round (DESIGN.md §16): contact every neighbor, with a full
+  /// snapshot only when its copy is stale and a hello otherwise, everything
+  /// to one neighbor coalesced into one wire message.
   void do_update();
-  /// Batched maintenance round (CanConfig::batching): contact 1/stride of
-  /// the neighborhood per round, full snapshot only when the neighbor's
-  /// copy is stale, hello otherwise, everything per-pair coalesced.
-  void do_batched_round();
   /// One anti-entropy round: probe the first face of our zones not covered
   /// by any known zone; claim the space if routing finds no owner either.
   void do_gap_audit();
@@ -228,7 +218,6 @@ class CanNode {
   void send_zone_update(net::NodeAddr to,
                         std::shared_ptr<const ZoneUpdate::Snapshot> snap);
   void broadcast_zone_update(const std::vector<net::NodeAddr>& extra = {});
-  void send_dim_load_reports();
   /// Drop neighbors that no longer abut any of our zones.
   void prune_neighbors();
   void schedule_takeover(net::NodeAddr dead);
@@ -289,11 +278,9 @@ class CanNode {
   std::vector<Peer> lost_;  // candidates for zone-view re-linking
   std::size_t lost_cursor_ = 0;
 
-  /// Batched-maintenance round counter (drives the per-neighbor contact
-  /// stride) and the forced-full-refresh cadence: even a version-matched
-  /// neighbor gets a full snapshot every this-many contacts, bounding the
-  /// staleness a lost full update can cause.
-  std::uint64_t round_ = 0;
+  /// Forced-full-refresh cadence: even a version-matched neighbor gets a
+  /// full snapshot every this-many contacts, bounding the staleness a lost
+  /// full update can cause.
   static constexpr std::uint32_t kFullRefreshContacts = 4;
 
   // Join splits are not idempotent on their own: once we hand half our zone

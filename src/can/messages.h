@@ -184,8 +184,8 @@ struct NeighborHint final : net::Message {
   PGRID_MESSAGE_CLONE(NeighborHint)
 };
 
-/// Compact liveness/load beacon used by batched maintenance (DESIGN.md
-/// §16): sent instead of a full ZoneUpdate when the receiver already holds
+/// Compact liveness/load beacon of the maintenance round (DESIGN.md §16):
+/// sent instead of a full ZoneUpdate when the receiver already holds
 /// the sender's current zone snapshot (tracked sender-side by zones_version).
 /// `request_full` asks the receiver to answer with a full ZoneUpdate — the
 /// pull half of loss recovery: a receiver whose stored snapshot version

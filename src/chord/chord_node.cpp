@@ -1,9 +1,11 @@
 #include "chord/chord_node.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
+#include "net/batch.h"
 
 namespace pgrid::chord {
 
@@ -75,9 +77,7 @@ void ChordNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
 
 void ChordNode::crash() {
   running_ = false;
-  stabilize_task_.reset();
-  fix_fingers_task_.reset();
-  check_pred_task_.reset();
+  maintenance_task_.reset();
   rpc_.cancel_all();
   predecessor_ = kNoPeer;
   successors_.clear();
@@ -101,43 +101,21 @@ void ChordNode::install_state(Peer predecessor, std::vector<Peer> successor_list
 
 void ChordNode::start_maintenance() {
   if (!config_.run_maintenance) return;
-  auto& simulator = net_.simulator();
-  // Desynchronize periodic work across nodes with a random initial phase.
-  const auto phase = [&](sim::SimTime period) {
-    return sim::SimTime::nanos(rng_.range(0, period.ns() - 1));
-  };
-  if (config_.batching.enabled) {
-    // Batched mode: one combined round at stabilize_period runs the whole
-    // trio inside a batch scope, so the stabilize probe, the finger
-    // lookups' first hops, and the predecessor ping that target the same
-    // peer (typically the successor) share one wire message. Fingers are
-    // advanced fix_per_round_ per round to preserve the dedicated task's
-    // long-run repair rate.
-    fix_per_round_ = std::max<int>(
-        1, static_cast<int>(config_.stabilize_period.ns() /
-                            std::max<std::int64_t>(
-                                1, config_.fix_fingers_period.ns())));
-    stabilize_task_ = std::make_unique<sim::PeriodicTask>(
-        simulator, config_.stabilize_period, [this] { do_combined_round(); },
-        phase(config_.stabilize_period));
-    return;
-  }
-  stabilize_task_ = std::make_unique<sim::PeriodicTask>(
-      simulator, config_.stabilize_period, [this] { do_stabilize(); },
-      phase(config_.stabilize_period));
-  fix_fingers_task_ = std::make_unique<sim::PeriodicTask>(
-      simulator, config_.fix_fingers_period, [this] { do_fix_fingers(); },
-      phase(config_.fix_fingers_period));
-  check_pred_task_ = std::make_unique<sim::PeriodicTask>(
-      simulator, config_.check_predecessor_period,
-      [this] { do_check_predecessor(); },
-      phase(config_.check_predecessor_period));
+  // Desynchronize the rounds across nodes with a random initial phase.
+  const auto phase = sim::SimTime::nanos(
+      rng_.range(0, config_.stabilize_period.ns() - 1));
+  maintenance_task_ = std::make_unique<sim::PeriodicTask>(
+      net_.simulator(), config_.stabilize_period,
+      [this] { do_maintenance_round(); }, phase);
 }
 
-void ChordNode::do_combined_round() {
+void ChordNode::do_maintenance_round() {
+  // The stabilize probe, the finger lookups' first hops and the predecessor
+  // ping that target the same peer (typically the successor) share one
+  // wire message.
   const net::BatchScope batch(net_, addr());
   do_stabilize();
-  for (int i = 0; i < fix_per_round_; ++i) do_fix_fingers();
+  for (int i = 0; i < kFingerFixesPerRound; ++i) do_fix_fingers();
   do_check_predecessor();
 }
 
@@ -284,6 +262,17 @@ void ChordNode::rebuild_route_scan() {
     push(fingers_[static_cast<std::size_t>(i)]);
   }
   for (const Peer& p : successors_) push(p);
+  // A peer displaced from the fingers and successors takes its detector
+  // with it, so the map stays O(table size).
+  for (auto it = detectors_.begin(); it != detectors_.end();) {
+    it = is_routing_peer(it->first) ? std::next(it) : detectors_.erase(it);
+  }
+}
+
+bool ChordNode::is_routing_peer(net::NodeAddr peer) const noexcept {
+  if (predecessor_.valid() && predecessor_.addr == peer) return true;
+  return std::any_of(route_scan_.begin(), route_scan_.end(),
+                     [peer](const Peer& p) { return p.addr == peer; });
 }
 
 // --- incoming messages -------------------------------------------------------
@@ -527,16 +516,7 @@ void ChordNode::note_alive(net::NodeAddr from) {
     return;
   }
   // Admit only current routing peers so the map stays O(table size).
-  bool tracked = predecessor_.valid() && predecessor_.addr == from;
-  if (!tracked) {
-    for (const Peer& p : route_scan_) {
-      if (p.addr == from) {
-        tracked = true;
-        break;
-      }
-    }
-  }
-  if (!tracked) return;
+  if (!is_routing_peer(from)) return;
   PhiDetector det;
   det.heartbeat(now);
   detectors_.emplace(from, det);

@@ -5,7 +5,8 @@
 //
 // Iterative lookups (the initiator drives hop-by-hop), successor lists for
 // failure resilience, and the standard stabilize / fix-fingers / check-
-// predecessor maintenance trio, all driven by the discrete-event simulator.
+// predecessor maintenance, run as one batched round per stabilize period
+// and driven by the discrete-event simulator.
 //
 // A ChordNode does not register itself on the network: its owner (a test
 // host or a grid node that stacks more protocols on the same address)
@@ -21,7 +22,6 @@
 #include "chord/messages.h"
 #include "chord/peer.h"
 #include "common/flat_map.h"
-#include "net/batch.h"
 #include "common/phi_detector.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -32,9 +32,9 @@
 namespace pgrid::chord {
 
 struct ChordConfig {
+  /// Period of the maintenance round: stabilize, kFingerFixesPerRound
+  /// finger fixes and a predecessor check.
   sim::SimTime stabilize_period = sim::SimTime::seconds(1.0);
-  sim::SimTime fix_fingers_period = sim::SimTime::millis(500);
-  sim::SimTime check_predecessor_period = sim::SimTime::seconds(1.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   /// Transmissions per RPC before the peer is presumed dead (retransmission
   /// keeps one lost datagram from condemning a live node).
@@ -49,11 +49,6 @@ struct ChordConfig {
   /// only *suspects* it (triggering a successor-tail refresh) — eviction
   /// waits until the silence is implausible under the learned arrival gaps.
   PhiAccrualConfig phi;
-  /// Maintenance batching (DESIGN.md §16). When enabled the stabilize /
-  /// fix-fingers / check-predecessor trio collapses into one combined round
-  /// at stabilize_period, issued inside a batch scope so the probes that
-  /// target the same peer (usually the successor) share a wire message.
-  net::BatchingConfig batching;
 };
 
 struct ChordStats {
@@ -69,6 +64,9 @@ struct ChordStats {
 class ChordNode {
  public:
   static constexpr int kBits = 64;
+  /// Finger fixes per maintenance round: a full table refresh every
+  /// kBits / kFingerFixesPerRound rounds.
+  static constexpr int kFingerFixesPerRound = 2;
 
   /// Lookup continuation: result is successor(key), or invalid on failure;
   /// hops counts remote next-hop queries issued (0 if resolved locally).
@@ -114,6 +112,10 @@ class ChordNode {
   [[nodiscard]] bool running() const noexcept { return running_; }
   [[nodiscard]] const ChordStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ChordConfig& config() const noexcept { return config_; }
+  /// φ-accrual detectors held; bounded by the routing state.
+  [[nodiscard]] std::size_t detector_count() const noexcept {
+    return detectors_.size();
+  }
 
   /// Bytes behind this node's routing state (successor list, route scan,
   /// lost-peer ring) for memory accounting; capacity snapshot, not hot path.
@@ -165,16 +167,19 @@ class ChordNode {
 
   // --- maintenance -------------------------------------------------------
   void start_maintenance();
+  /// One maintenance round in one batch scope, so the probes that target
+  /// the same peer (usually the successor) share a wire message.
+  void do_maintenance_round();
   void do_stabilize();
   void do_fix_fingers();
   void do_check_predecessor();
-  /// Batched maintenance: stabilize + several finger fixes + predecessor
-  /// ping in one batch scope (see ChordConfig::batching).
-  void do_combined_round();
   void adopt_successor_list(Peer head, const std::vector<Peer>& tail);
   void remove_failed(Peer peer);
-  /// Recompute route_scan_; must follow any fingers_/successors_ change.
+  /// Recompute route_scan_ and drop the φ detectors of peers it no longer
+  /// holds; must follow any fingers_/successors_ change.
   void rebuild_route_scan();
+  /// True for the predecessor and every route_scan_ entry.
+  [[nodiscard]] bool is_routing_peer(net::NodeAddr peer) const noexcept;
 
   // --- φ-accrual liveness (config_.phi) ----------------------------------
   /// Record an arrival from `from` if it is a current routing peer (bounds
@@ -221,14 +226,11 @@ class ChordNode {
   std::size_t lost_cursor_ = 0;
 
   /// Per-peer arrival history for φ-accrual; populated only while
-  /// config_.phi.enabled, and only for peers present in the routing state.
+  /// config_.phi.enabled, and only for routing peers (is_routing_peer):
+  /// note_alive admits no others and rebuild_route_scan drops the rest.
   FlatMap<net::NodeAddr, PhiDetector> detectors_;
 
-  std::unique_ptr<sim::PeriodicTask> stabilize_task_;
-  std::unique_ptr<sim::PeriodicTask> fix_fingers_task_;
-  std::unique_ptr<sim::PeriodicTask> check_pred_task_;
-  /// Finger fixes per combined batched round (batching mode only).
-  int fix_per_round_ = 1;
+  std::unique_ptr<sim::PeriodicTask> maintenance_task_;
 
   ChordStats stats_;
 };

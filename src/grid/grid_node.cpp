@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "grid/central_scheduler.h"
+#include "net/batch.h"
 
 namespace pgrid::grid {
 
@@ -978,10 +979,10 @@ void GridNode::do_heartbeats() {
   // Jobs are identified by GUID: distinct generations of the same job can
   // legitimately coexist in one queue and each has its own owner.
   //
-  // Batching: heartbeats for jobs monitored by the same owner coalesce
-  // into one wire message per owner per round; the owner's acks coalesce
+  // Heartbeats for jobs monitored by the same owner coalesce into one wire
+  // message per owner per round (DESIGN.md §16); the owner's acks coalesce
   // on the way back via the network's receiver-side scope.
-  const net::BatchScope batch(net_, addr(), config_.batching.enabled);
+  const net::BatchScope batch(net_, addr());
   std::vector<Guid> guids;
   guids.reserve(queue_.size());
   for (const QueuedJob& q : queue_) guids.push_back(q.profile.guid);

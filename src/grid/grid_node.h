@@ -66,12 +66,6 @@ struct GridNodeConfig {
   /// Zero (the default) disables the audit task entirely.
   sim::SimTime audit_period = sim::SimTime::zero();
 
-  /// Maintenance batching (DESIGN.md §16): heartbeats for jobs sharing an
-  /// owner ride one wire message per round (and their acks one back), and
-  /// the overlay layers batch their own maintenance. GridSystem fans this
-  /// out to the chord/can configs below.
-  net::BatchingConfig batching;
-
   /// Stats-only liveness oracle injected by the harness: returns the sim
   /// time (in seconds) at which the address went down, or a negative value
   /// if it is currently up. Used solely to classify evictions as false

@@ -22,8 +22,6 @@ Guid node_guid(std::uint64_t seed, std::size_t index) {
 void apply_light_maintenance(GridNodeConfig* config) {
   PGRID_EXPECTS(config != nullptr);
   config->chord.stabilize_period = sim::SimTime::seconds(10.0);
-  config->chord.fix_fingers_period = sim::SimTime::seconds(5.0);
-  config->chord.check_predecessor_period = sim::SimTime::seconds(10.0);
   config->can.update_period = sim::SimTime::seconds(5.0);
   config->can.neighbor_timeout = sim::SimTime::seconds(17.0);
   config->rntree.aggregation_period = sim::SimTime::seconds(5.0);
@@ -98,11 +96,6 @@ void GridSystem::build() {
   node_config.chord.phi = node_config.phi;
   node_config.can.phi = node_config.phi;
   node_config.rntree.phi = node_config.phi;
-  // Likewise one batching config: the grid heartbeat layer and each overlay
-  // batch their own maintenance rounds under the same switch.
-  node_config.batching = config_.batching;
-  node_config.chord.batching = config_.batching;
-  node_config.can.batching = config_.batching;
   down_since_.assign(workload_.spec.node_count, -1.0);
   if (config_.track_liveness) {
     node_config.liveness_oracle = [this](net::NodeAddr a) {

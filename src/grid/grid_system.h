@@ -42,13 +42,6 @@ struct GridConfig {
   /// Slow down overlay maintenance (no-churn experiments): same behavior,
   /// far fewer simulation events.
   bool light_maintenance = false;
-  /// Maintenance batching (DESIGN.md §16): coalesce same-destination
-  /// maintenance traffic (heartbeats, chord probes, CAN refresh) into one
-  /// wire message per node pair per round, and decimate quiet CAN
-  /// neighbor contacts by batching.quiet_stride. Default off: fixed-seed
-  /// outputs are byte-identical to pre-batching builds. Fanned out to every
-  /// protocol layer in build().
-  net::BatchingConfig batching;
   /// Skip the automatic arrival-time schedule: jobs are released through
   /// submit_job() instead (used by the DAG runner, §5 future work).
   bool manual_submission = false;

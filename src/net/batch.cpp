@@ -4,13 +4,10 @@
 
 namespace pgrid::net {
 
-BatchScope::BatchScope(Network& net, NodeAddr from, bool active)
-    : net_(net), from_(from), active_(active) {
-  if (active_) net_.open_batch(from_);
+BatchScope::BatchScope(Network& net, NodeAddr from) : net_(net), from_(from) {
+  net_.open_batch(from_);
 }
 
-BatchScope::~BatchScope() {
-  if (active_) net_.close_batch(from_);
-}
+BatchScope::~BatchScope() { net_.close_batch(from_); }
 
 }  // namespace pgrid::net

@@ -5,10 +5,6 @@
 // heartbeat fan-out — into a single wire message. Handlers never see the
 // envelope: the network unpacks it at delivery, so protocol logic is
 // untouched and per-kind statistics keep accounting the inner messages.
-//
-// Everything here is opt-in. With batching disabled nothing constructs a
-// Batch and the fixed-seed event/RNG sequences are byte-identical to
-// pre-batching builds.
 
 #include <cstdint>
 #include <vector>
@@ -16,22 +12,6 @@
 #include "net/message.h"
 
 namespace pgrid::net {
-
-/// Feature gate threaded from GridConfig down to every layer that opens
-/// batch scopes. Lives in net/ so chord/ and can/ can hold one without
-/// depending on grid headers.
-struct BatchingConfig {
-  /// Master switch. Off (default): no envelopes, no cadence changes, no
-  /// extra RNG draws — outputs stay byte-identical for a fixed seed.
-  bool enabled = false;
-  /// CAN quiet-neighbor decimation: each neighbor is contacted every
-  /// `quiet_stride`-th maintenance round instead of every round, and the
-  /// staleness/takeover deadlines are scaled by the same factor so the
-  /// detection rule sees the same number of missed contacts. 1 keeps the
-  /// per-round cadence (pure coalescing) — use that when failure-detection
-  /// latency must match the unbatched protocol (e.g. chaos suites).
-  std::uint32_t quiet_stride = 4;
-};
 
 /// The wire envelope. `parts` holds the coalesced inner messages in send
 /// order; delivery unpacks them in that order. An envelope is judged by the
@@ -73,11 +53,10 @@ class Network;
 /// RAII batch scope: while alive, every Network::send from `from` is
 /// buffered and grouped by destination; destruction flushes one wire
 /// message per destination (a plain send for singleton groups). Scopes
-/// nest per sender — only the outermost flush emits traffic. `active =
-/// false` makes the scope a no-op so call sites can stay branch-free.
+/// nest per sender — only the outermost flush emits traffic.
 class BatchScope {
  public:
-  BatchScope(Network& net, NodeAddr from, bool active = true);
+  BatchScope(Network& net, NodeAddr from);
   ~BatchScope();
 
   BatchScope(const BatchScope&) = delete;
@@ -86,7 +65,6 @@ class BatchScope {
  private:
   Network& net_;
   NodeAddr from_;
-  bool active_;
 };
 
 }  // namespace pgrid::net

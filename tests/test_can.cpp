@@ -1,5 +1,6 @@
 // CAN protocol: instant wiring invariants, greedy routing vs the oracle,
-// join protocol, load exchange, per-dimension load propagation.
+// join protocol, load exchange, per-dimension load propagation, maintenance
+// cadence.
 
 #include <gtest/gtest.h>
 
@@ -233,16 +234,14 @@ TEST(CanJoin, ReplayedPreGrantClaimCannotUndoJoin) {
 // owner keeps the split-off grant unsettled: no node owns the grant's space,
 // so the joiner's retried join, routed to its own point inside it,
 // dead-ends. The owner must take the grant back once the joiner goes quiet;
-// with batching, the zoneless joiner must not keep its entry fresh by
-// answering the owner's hellos.
+// the zoneless joiner must not keep its entry fresh by answering the
+// owner's hellos.
 TEST(CanJoin, OrphanRecoversGrantWhoseResponsesWereLost) {
   sim::Simulator simulator;
   net::Network net(simulator, Rng{21},
                    net::LatencyModel{sim::SimTime::millis(20),
                                      sim::SimTime::millis(20)});
-  CanConfig config;
-  config.batching.enabled = true;
-  CanSpace space(net, config, Rng{22});
+  CanSpace space(net, CanConfig{}, Rng{22});
   Rng rng(23);
   auto& owner = space.add_host(Guid::of(std::uint64_t{1}), random_point(rng, 4));
   owner.node().create();
@@ -299,6 +298,32 @@ TEST(CanLoad, DimensionalLoadReportsFlowDownward) {
   EXPECT_DOUBLE_EQ(low.node().upstream_load(0), 8.0);
   // Nothing above `high` in dim 0, so it has heard nothing.
   EXPECT_LT(high.node().upstream_load(0), 0.0);
+}
+
+// Every maintenance round contacts every neighbor: CAN-push matches on the
+// dim-load reports riding those contacts, and a round that skips some
+// neighbors leaves it working from stale loads (DESIGN.md §16). A neighbor's
+// latest round is at most one period old and its message at most one
+// maximum latency (80 ms) in flight.
+TEST(CanMaintenance, EveryNeighborHeardEveryRound) {
+  Fixture fx{12};
+  fx.build(64);
+  const sim::SimTime period = fx.space.config().update_period;
+  const sim::SimTime bound = period + sim::SimTime::millis(80);
+  std::size_t contacts = 0;
+  std::size_t violations = 0;
+  for (int round = 3; round <= 20; ++round) {
+    fx.simulator.run_until(period * round);
+    const sim::SimTime now = fx.simulator.now();
+    for (std::size_t i = 0; i < 64; ++i) {
+      for (const auto& [addr, ns] : fx.space.host(i).node().neighbors()) {
+        ++contacts;
+        if (now - ns.last_heard > bound) ++violations;
+      }
+    }
+  }
+  EXPECT_GT(contacts, 0u);
+  EXPECT_EQ(violations, 0u);
 }
 
 // Property sweep: routing matches the oracle across sizes and dims.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "grid/grid_system.h"
 #include "net/fault_plane.h"
 
@@ -241,6 +244,42 @@ TEST(GridRecovery, PhiDetectorDrivesOwnerRecovery) {
   for (double latency : stats.detection_latency.values()) {
     EXPECT_GT(latency, 0.0);
   }
+}
+
+// Under churn, peers keep leaving the Chord fingers and successor lists.
+// With φ on, each one's detector must leave with it: a node holds detectors
+// only for its predecessor and its routing peers, with slack for
+// predecessors replaced since the last routing-table rebuild.
+TEST(GridRecovery, PhiDetectorsStayWithinChordRoutingState) {
+  GridConfig config = recovery_config(MatchmakerKind::kRnTree, 11);
+  config.node.phi.enabled = true;
+  config.loss_probability = 0.01;
+  GridSystem system(config, recovery_workload(11, 128, 200, 100.0, false));
+  system.build();
+  sim::ChurnModel churn;
+  churn.mean_lifetime_sec = 600.0;
+  churn.mean_downtime_sec = 120.0;
+  churn.churn_fraction = 0.5;
+  system.enable_churn(churn);
+  system.run_for(600.0);
+
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    const chord::ChordNode* node = system.node(i).chord();
+    if (node == nullptr || !node->running()) continue;
+    std::vector<net::NodeAddr> peers;
+    const auto add = [&](const chord::Peer& p) {
+      if (p.valid() && p.addr != node->addr() &&
+          std::find(peers.begin(), peers.end(), p.addr) == peers.end()) {
+        peers.push_back(p.addr);
+      }
+    };
+    for (int f = 0; f < chord::ChordNode::kBits; ++f) add(node->finger(f));
+    for (const chord::Peer& p : node->successor_list()) add(p);
+    EXPECT_LE(node->detector_count(), peers.size() + 2) << "node " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, system.node_count() / 2);
 }
 
 class ChurnSweep : public ::testing::TestWithParam<MatchmakerKind> {};
