@@ -288,14 +288,13 @@ CellResult bench_heartbeat_storm(std::uint64_t target, std::uint64_t seed,
   if (phi) {
     PhiSink* sink = phi_owner.get();
     const sim::Simulator* sp = &sim;
-    const PhiAccrualConfig pcfg{.enabled = true};
     std::uint64_t* suspects = &phi_owner->suspects;
     scan = std::make_unique<sim::PeriodicTask>(
-        sim, sim::SimTime::seconds(1.0), [sink, sp, pcfg, suspects] {
+        sim, sim::SimTime::seconds(1.0), [sink, sp, suspects] {
           const sim::SimTime now = sp->now();
-          const sim::SimTime fallback = sim::SimTime::seconds(3.0);
+          const sim::SimTime cold_start = sim::SimTime::seconds(3.0);
           for (const PhiDetector& d : sink->detectors) {
-            if (d.seen() && d.suspect(now, pcfg, fallback)) ++*suspects;
+            if (d.seen() && d.suspect(now, cold_start)) ++*suspects;
           }
         },
         sim::SimTime::millis(499));

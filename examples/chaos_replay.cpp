@@ -13,8 +13,9 @@
 // topology-correlated crash bursts (a contiguous Chord arc / CAN slab) and
 // rapid join-leave flapping; enabling them redraws the whole schedule, so
 // they are part of the replay identity and appear in replay commands.
-// --self-healing turns on φ-accrual liveness and the online anti-entropy
-// audits on every node.
+// --self-healing turns on the online anti-entropy audits on every node and
+// the liveness oracle that classifies evictions; φ-accrual liveness is
+// always on.
 //
 // --matrix ignores the single-schedule flags and runs the standard 24-cell
 // matrix (rn-tree/can/can-push x seeds 1..8) through parallel_for_cells;

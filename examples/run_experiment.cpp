@@ -15,12 +15,12 @@
 // none), queue (fifo|fair-share), kill-factor (0), csv, workload-out,
 // replay, config.
 //
-// Failure-detection keys: --heartbeat-period=sec (5) and
-// --miss-threshold=n (3) tune the fixed-timeout monitor; --phi enables the
-// φ-accrual detector on every layer, with --phi-suspect (2.0) and
-// --phi-evict (3.0) thresholds in mean-gap units; --audit-period=sec (0 =
-// off) enables the online anti-entropy audits (owner records, CAN tiling,
-// RN-tree search-token leases) at that period.
+// Failure-detection keys: every layer evicts silent peers with a φ-accrual
+// detector. --heartbeat-period=sec (5) sets the grid heartbeat period and
+// --miss-threshold=n (3) the number of periods φ waits for a peer with too
+// little history to learn from (its cold-start deadline); --audit-period=sec
+// (0 = off) enables the online anti-entropy audits (owner records, CAN
+// tiling, RN-tree search-token leases) at that period.
 //
 // Observability keys: --trace[=path] writes a Chrome trace_event JSON
 // (default trace.json, load at https://ui.perfetto.dev), --trace-jsonl=path
@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
       config.set("trace", "1");
     } else if (token == "--timeseries") {
       config.set("timeseries", "1");
-    } else if (token == "--phi") {
-      config.set("phi", "1");
     } else {
       std::fprintf(stderr, "error: unrecognized argument %s\n", token.c_str());
       return 2;
@@ -129,13 +127,6 @@ int main(int argc, char** argv) {
                         gc.node.heartbeat_period.sec()));
   gc.node.heartbeat_miss_threshold = static_cast<int>(config.get_int(
       "miss-threshold", gc.node.heartbeat_miss_threshold));
-  if (config.get_bool("phi", false)) {
-    gc.node.phi.enabled = true;  // build() propagates to chord/can/rntree
-    gc.node.phi.suspect_threshold =
-        config.get_double("phi-suspect", gc.node.phi.suspect_threshold);
-    gc.node.phi.evict_threshold =
-        config.get_double("phi-evict", gc.node.phi.evict_threshold);
-  }
   const double audit_sec = config.get_double("audit-period", 0.0);
   if (audit_sec > 0.0) {
     gc.node.audit_period = sim::SimTime::seconds(audit_sec);

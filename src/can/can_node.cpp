@@ -119,8 +119,7 @@ void CanNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
                   ns.zones = c.zones;
                   ns.rep_point = c.rep_point;
                   ns.load = c.load;
-                  ns.last_heard = net_.simulator().now();
-                  ns.phi.heartbeat(ns.last_heard);
+                  ns.phi.heartbeat(net_.simulator().now());
                   neighbors_.emplace(c.peer.addr, std::move(ns));
                 }
                 prune_neighbors();
@@ -159,7 +158,7 @@ void CanNode::install_state(std::vector<Zone> zones,
   neighbors_ = std::move(neighbors);
   note_zones_changed();
   for (auto& [addr, ns] : neighbors_) {
-    ns.last_heard = net_.simulator().now();
+    ns.phi.heartbeat(net_.simulator().now());
   }
   start_maintenance();
 }
@@ -238,17 +237,14 @@ void CanNode::route_ask(const std::shared_ptr<RouteState>& st, Peer target) {
                      ++it) {
                   if (it->second.id == target.id) {
                     const auto now = net_.simulator().now();
-                    if (!config_.phi.enabled ||
-                        it->second.phi.evict(now, config_.phi,
-                                             config_.neighbor_timeout)) {
+                    if (it->second.phi.evict(now, config_.neighbor_timeout)) {
                       schedule_takeover(it->first);
                     } else {
                       ++stats_.suspicions;
                       PGRID_TRACE_EVENT(
                           net_.trace(), obs::EventKind::kPhiSuspect, addr(),
                           it->first, 2, 0,
-                          it->second.phi.phi(now, config_.phi,
-                                             config_.neighbor_timeout));
+                          it->second.phi.phi(now, config_.neighbor_timeout));
                     }
                     break;
                   }
@@ -446,8 +442,7 @@ void CanNode::on_join(net::NodeAddr from, const JoinReq& req) {
   if (auto prev = neighbors_.find(req.joiner.addr); prev != neighbors_.end()) {
     ns.update_seq = std::max(ns.update_seq, prev->second.update_seq);
   }
-  ns.last_heard = net_.simulator().now();
-  ns.phi.heartbeat(ns.last_heard);
+  ns.phi.heartbeat(net_.simulator().now());
   neighbors_[req.joiner.addr] = std::move(ns);
   pending_grants_.insert_or_assign(req.joiner.addr, theirs);
   broadcast_zone_update();
@@ -486,8 +481,7 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
       pending_grants_.find(from) == pending_grants_.end()) {
     NeighborState& ns = known->second;
     ns.load = msg.load();
-    ns.last_heard = net_.simulator().now();
-    ns.phi.heartbeat(ns.last_heard);
+    ns.phi.heartbeat(net_.simulator().now());
     ns.their_neighbors = msg.neighbor_addrs();
     ns.update_seq = msg.seq;
     return;
@@ -562,8 +556,7 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
   ns.zones = msg.zones();
   ns.rep_point = msg.rep_point();
   ns.load = msg.load();
-  ns.last_heard = net_.simulator().now();
-  ns.phi.heartbeat(ns.last_heard);
+  ns.phi.heartbeat(net_.simulator().now());
   ns.their_neighbors = msg.neighbor_addrs();
   ns.update_seq = msg.seq;
   ns.zones_version = msg.zones_version();
@@ -717,7 +710,6 @@ void CanNode::on_neighbor_hello(net::NodeAddr from, const NeighborHello& msg) {
   NeighborState& ns = it->second;
   const auto now = net_.simulator().now();
   ns.load = msg.load;
-  ns.last_heard = now;
   ns.phi.heartbeat(now);
   // Advance the staleness watermark: every full update the sender has
   // already emitted carries seq <= msg.seq, so any such copy that arrives
@@ -858,26 +850,20 @@ void CanNode::do_update() {
     broadcast_zone_update();
   }
 
-  // Failure detection: schedule takeover for stale neighbors. With φ on,
-  // staleness is judged against the neighbor's learned update cadence;
-  // suspect-level silence only re-sends our claim (re-links tables that
-  // went asymmetric) instead of arming the takeover timer.
+  // Failure detection: schedule takeover for stale neighbors, judged
+  // against each neighbor's learned update cadence. Suspect-level silence
+  // only re-sends our claim (re-links tables that went asymmetric) instead
+  // of arming the takeover timer.
   const auto now = net_.simulator().now();
   for (const auto& [naddr, ns] : neighbors_) {
-    if (config_.phi.enabled) {
-      if (ns.phi.evict(now, config_.phi, config_.neighbor_timeout)) {
-        schedule_takeover(naddr);
-      } else if (ns.phi.suspect(now, config_.phi, config_.neighbor_timeout) &&
-                 takeover_timers_.find(naddr) == takeover_timers_.end()) {
-        ++stats_.suspicions;
-        PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect, addr(),
-                          naddr, 2, 0,
-                          ns.phi.phi(now, config_.phi,
-                                     config_.neighbor_timeout));
-        send_zone_update(naddr);
-      }
-    } else if (now - ns.last_heard > config_.neighbor_timeout) {
+    if (ns.phi.evict(now, config_.neighbor_timeout)) {
       schedule_takeover(naddr);
+    } else if (ns.phi.suspect(now, config_.neighbor_timeout) &&
+               takeover_timers_.find(naddr) == takeover_timers_.end()) {
+      ++stats_.suspicions;
+      PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect, addr(),
+                        naddr, 2, 0, ns.phi.phi(now, config_.neighbor_timeout));
+      send_zone_update(naddr);
     }
   }
 }

@@ -27,7 +27,8 @@ namespace pgrid::can {
 struct CanConfig {
   std::size_t dims = 4;
   sim::SimTime update_period = sim::SimTime::seconds(2.0);
-  /// A neighbor unheard for this long is suspected dead.
+  /// φ's deadline for a neighbor with fewer than PhiDetector::kMinSamples
+  /// observed update gaps: unheard for this long, it is taken over.
   sim::SimTime neighbor_timeout = sim::SimTime::seconds(7.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   /// Transmissions per RPC before the peer is presumed dead.
@@ -40,11 +41,6 @@ struct CanConfig {
   /// Weight of a node's own load in the per-dimension upstream load report
   /// (the remainder comes from the report received from above).
   double push_alpha = 0.5;
-  /// φ-accrual liveness (default off = legacy fixed neighbor_timeout).
-  /// When on, staleness is judged against each neighbor's learned update
-  /// inter-arrival gaps: congested-but-alive neighbors are only *suspected*
-  /// (re-linked with a direct zone update) instead of taken over.
-  PhiAccrualConfig phi;
   /// Anti-entropy tiling audit period (zero = off). Each round probes one
   /// uncovered face of this node's zones via routing; space no reachable
   /// node claims (a hole left by a correlated crash of a whole region) is
@@ -68,7 +64,6 @@ struct NeighborState {
   std::vector<Zone> zones;
   Point rep_point;  // the neighbor's coordinates (capabilities)
   double load = 0.0;
-  sim::SimTime last_heard;
   std::vector<net::NodeAddr> their_neighbors;
   /// Highest ZoneUpdate::seq seen from this neighbor (staleness guard).
   std::uint64_t update_seq = 0;
@@ -80,8 +75,10 @@ struct NeighborState {
   /// update from this neighbor (no conflict action, no hints sent).
   /// 0 = never; epochs start at 1. See on_zone_update's fast path.
   std::uint64_t scan_epoch = 0;
-  /// Update inter-arrival history for φ-accrual liveness (CanConfig::phi).
-  /// Recorded unconditionally (cheap), consulted only when enabled.
+  /// The neighbor's liveness record: inter-arrival history of its updates
+  /// and hellos. Staleness is judged against this learned cadence, so a
+  /// congested-but-alive neighbor is only *suspected* (re-linked with a
+  /// direct zone update) instead of taken over.
   PhiDetector phi;
   /// Maintenance-round bookkeeping: our zones_version when this neighbor
   /// last received a full snapshot from us (0 = never), and contacts since

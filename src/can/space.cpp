@@ -23,9 +23,8 @@ CanHost& CanSpace::add_host(Guid id, Point rep_point) {
 namespace {
 
 /// Install the final per-node tables given each node's zone and its sorted
-/// neighbor index list. Shared by both wiring implementations so the
-/// emitted NeighborState (including their_neighbors order: ascending node
-/// index, i.e. the all-pairs scan order) is identical by construction.
+/// neighbor index list. their_neighbors lists addresses in ascending node
+/// index, the order of an all-pairs scan.
 void install_tables(const std::vector<CanNode*>& nodes,
                     const std::vector<Zone>& zone_of,
                     const std::vector<std::vector<std::uint32_t>>& nbrs) {
@@ -192,44 +191,6 @@ void wire_space_instantly(const std::vector<CanNode*>& nodes,
     new_n.insert(std::lower_bound(new_n.begin(), new_n.end(),
                                   static_cast<std::uint32_t>(owner)),
                  static_cast<std::uint32_t>(owner));
-  }
-
-  install_tables(nodes, zone_of, nbrs);
-}
-
-void wire_space_instantly_naive(const std::vector<CanNode*>& nodes,
-                                std::size_t dims) {
-  PGRID_EXPECTS(!nodes.empty());
-  // Logical replay of sequential joins: node i's zone is found by splitting
-  // the zone currently containing its representative point, with the same
-  // split_for rule the protocol uses.
-  std::vector<Zone> zone_of(nodes.size());
-  zone_of[0] = Zone::whole(dims);
-  for (std::size_t k = 1; k < nodes.size(); ++k) {
-    const Point& jp = nodes[k]->rep_point();
-    std::size_t owner = 0;
-    for (std::size_t m = 0; m < k; ++m) {
-      if (zone_of[m].contains(jp)) {
-        owner = m;
-        break;
-      }
-    }
-    const Point& op = nodes[owner]->rep_point();
-    const Point keeper =
-        zone_of[owner].contains(op) ? op : zone_of[owner].center();
-    const auto [mine, theirs] = zone_of[owner].split_for(keeper, jp);
-    zone_of[owner] = mine;
-    zone_of[k] = theirs;
-  }
-
-  // Exact neighbor tables via the all-pairs abuts() scan.
-  std::vector<std::vector<std::uint32_t>> nbrs(nodes.size());
-  for (std::size_t a = 0; a < nodes.size(); ++a) {
-    for (std::size_t b = 0; b < nodes.size(); ++b) {
-      if (a != b && zone_of[a].abuts(zone_of[b])) {
-        nbrs[a].push_back(static_cast<std::uint32_t>(b));
-      }
-    }
   }
 
   install_tables(nodes, zone_of, nbrs);

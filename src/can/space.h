@@ -44,13 +44,6 @@ class CanHost final : public net::MessageHandler {
 void wire_space_instantly(const std::vector<CanNode*>& nodes,
                           std::size_t dims);
 
-/// Reference implementation of wire_space_instantly: O(N²) point location
-/// plus O(N²) all-pairs neighbor discovery. Retained only so property tests
-/// can assert the fast path produces bit-identical zones and neighbor
-/// tables; never call it on large spaces.
-void wire_space_instantly_naive(const std::vector<CanNode*>& nodes,
-                                std::size_t dims);
-
 class CanSpace {
  public:
   CanSpace(net::Network& network, CanConfig config, Rng rng);

@@ -173,11 +173,11 @@ void ChordNode::lookup_ask(const std::shared_ptr<LookupState>& st,
                   [this, st, target](net::MessagePtr reply) {
               if (!running_) return;
               if (reply == nullptr) {
-                // Dead hop: scrub it, remember to route around it, retry.
-                // Under φ-accrual, a peer we have heard from recently is
-                // only suspected — route around it this lookup, but keep
-                // its table entries until the silence becomes implausible.
-                if (!config_.phi.enabled || phi_allows_evict(target.addr)) {
+                // Dead hop: remember to route around it and retry. A peer
+                // heard from recently is only suspected — route around it
+                // this lookup, but keep its table entries until φ says the
+                // silence is implausible.
+                if (phi_allows_evict(target.addr)) {
                   remove_failed(target);
                 } else {
                   ++stats_.suspicions;
@@ -279,15 +279,15 @@ bool ChordNode::is_routing_peer(net::NodeAddr peer) const noexcept {
 
 bool ChordNode::handle(net::NodeAddr from, net::MessagePtr& msg) {
   PGRID_EXPECTS(msg != nullptr);
-  // Any message from a routing peer is proof of life — including non-Chord
-  // grid traffic from a co-located stack, which falls through below.
-  if (running_ && config_.phi.enabled) note_alive(from);
+  const auto t = msg->type();
+  const bool chord_msg =
+      t >= net::kTagChordBase && t < net::kTagChordBase + 0x100;
+  // A Chord message from a routing peer is proof of life; other layers'
+  // traffic feeds their own detectors.
+  if (running_ && chord_msg) note_alive(from);
   if (rpc_.consume_reply(msg)) return true;
-  if (!running_) {
-    // Stale message for a crashed incarnation; consume Chord-tagged ones.
-    const auto t = msg->type();
-    return t >= net::kTagChordBase && t < net::kTagChordBase + 0x100;
-  }
+  // Stale message for a crashed incarnation; consume Chord-tagged ones.
+  if (!running_) return chord_msg;
   switch (msg->type()) {
     case kNextHopReq:
       on_next_hop(from, *net::msg_cast<NextHopReq>(msg.get()));
@@ -332,6 +332,7 @@ void ChordNode::on_notify(const Notify& msg) {
   if (!predecessor_.valid() ||
       in_interval_oo(msg.peer.id, predecessor_.id, id_)) {
     predecessor_ = msg.peer;
+    rebuild_route_scan();
   }
 }
 
@@ -360,7 +361,7 @@ void ChordNode::do_stabilize() {
                   [this, succ](net::MessagePtr reply) {
               if (!running_) return;
               if (reply == nullptr) {
-                if (config_.phi.enabled && !phi_allows_evict(succ.addr)) {
+                if (!phi_allows_evict(succ.addr)) {
                   // Suspect, don't evict: the successor has been heard from
                   // recently enough that this timeout is more likely loss or
                   // congestion. Refresh the list tail from the first backup
@@ -403,6 +404,8 @@ void ChordNode::adopt_successor_list(Peer head,
     if (std::find(fresh.begin(), fresh.end(), p) != fresh.end()) continue;
     fresh.push_back(p);
   }
+  // Most rounds confirm the list they already hold: nothing to rebuild.
+  if (fresh == successors_) return;
   successors_ = std::move(fresh);
   rebuild_route_scan();
 }
@@ -432,7 +435,7 @@ void ChordNode::do_check_predecessor() {
                   [this, pred](net::MessagePtr reply) {
               if (!running_) return;
               if (reply == nullptr && predecessor_ == pred) {
-                if (config_.phi.enabled && !phi_allows_evict(pred.addr)) {
+                if (!phi_allows_evict(pred.addr)) {
                   ++stats_.suspicions;
                   PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect,
                                     addr(),
@@ -440,6 +443,7 @@ void ChordNode::do_check_predecessor() {
                   return;
                 }
                 predecessor_ = kNoPeer;
+                rebuild_route_scan();
               }
             });
 }
@@ -524,10 +528,10 @@ void ChordNode::note_alive(net::NodeAddr from) {
 
 bool ChordNode::phi_allows_evict(net::NodeAddr peer) const {
   const auto it = detectors_.find(peer);
-  // No arrival history to judge by: fall back to the legacy rule (a timed-
-  // out RPC condemns the peer) so a born-dead peer cannot linger forever.
+  // No arrival history to judge by: a timed-out RPC condemns the peer, so a
+  // born-dead peer cannot linger forever.
   if (it == detectors_.end() || !it->second.seen()) return true;
-  return it->second.evict(net_.simulator().now(), config_.phi,
+  return it->second.evict(net_.simulator().now(),
                           config_.rpc_timeout * config_.rpc_attempts);
 }
 

@@ -36,19 +36,16 @@ struct ChordConfig {
   /// finger fixes and a predecessor check.
   sim::SimTime stabilize_period = sim::SimTime::seconds(1.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
-  /// Transmissions per RPC before the peer is presumed dead (retransmission
-  /// keeps one lost datagram from condemning a live node).
+  /// Transmissions per RPC before the call fails (retransmission keeps one
+  /// lost datagram from condemning a live node). rpc_timeout × rpc_attempts
+  /// is φ's deadline for a peer with fewer than PhiDetector::kMinSamples
+  /// observed gaps.
   int rpc_attempts = 2;
   std::size_t successor_list_len = 8;
   /// Whole-lookup restarts after observing a dead hop.
   int lookup_retries = 3;
   /// Static-membership experiments can skip periodic maintenance entirely.
   bool run_maintenance = true;
-  /// φ-accrual liveness (default off = legacy timeout-evicts-immediately).
-  /// When on, an RPC timeout against a peer we have recently heard from
-  /// only *suspects* it (triggering a successor-tail refresh) — eviction
-  /// waits until the silence is implausible under the learned arrival gaps.
-  PhiAccrualConfig phi;
 };
 
 struct ChordStats {
@@ -175,18 +172,22 @@ class ChordNode {
   void do_check_predecessor();
   void adopt_successor_list(Peer head, const std::vector<Peer>& tail);
   void remove_failed(Peer peer);
-  /// Recompute route_scan_ and drop the φ detectors of peers it no longer
-  /// holds; must follow any fingers_/successors_ change.
+  /// Recompute route_scan_ and drop the φ detectors of peers that are no
+  /// longer routing peers; must follow any fingers_/successors_/
+  /// predecessor_ change.
   void rebuild_route_scan();
   /// True for the predecessor and every route_scan_ entry.
   [[nodiscard]] bool is_routing_peer(net::NodeAddr peer) const noexcept;
 
-  // --- φ-accrual liveness (config_.phi) ----------------------------------
+  // --- φ-accrual liveness --------------------------------------------------
+  // An RPC timeout against a peer heard from recently only *suspects* it
+  // (triggering a successor-tail refresh); eviction waits until the silence
+  // is implausible under the learned arrival gaps.
   /// Record an arrival from `from` if it is a current routing peer (bounds
-  /// detector growth to the table); no-op when the detector is disabled.
+  /// detector growth to the table).
   void note_alive(net::NodeAddr from);
-  /// True when the detector agrees the peer may be evicted (or there is no
-  /// arrival history to judge by, which falls back to the legacy rule).
+  /// True when the detector agrees the peer may be evicted, or when there
+  /// is no arrival history to judge by (a timed-out RPC then condemns it).
   [[nodiscard]] bool phi_allows_evict(net::NodeAddr peer) const;
   /// Suspicion action: rebuild the successor-list tail behind the (kept)
   /// head from the first live backup's fresh view of the ring.
@@ -225,9 +226,9 @@ class ChordNode {
   std::vector<Peer> lost_;  // candidates for ring-merge probing
   std::size_t lost_cursor_ = 0;
 
-  /// Per-peer arrival history for φ-accrual; populated only while
-  /// config_.phi.enabled, and only for routing peers (is_routing_peer):
-  /// note_alive admits no others and rebuild_route_scan drops the rest.
+  /// Per-peer arrival history for φ-accrual, fed by Chord messages only and
+  /// held only for routing peers (is_routing_peer): note_alive admits no
+  /// others and rebuild_route_scan drops the rest.
   FlatMap<net::NodeAddr, PhiDetector> detectors_;
 
   std::unique_ptr<sim::PeriodicTask> maintenance_task_;

@@ -37,9 +37,7 @@ Peer ring_oracle_successor(const std::vector<const ChordNode*>& nodes,
 
 namespace {
 
-/// Ring positions sorted by GUID; shared by both wiring implementations so
-/// they emit successors/predecessors in the same order by construction.
-/// Sorts flat (id, index) pairs — one linear pass of node dereferences —
+/// Ring positions sorted by GUID. Sorts flat (id, index) pairs — one linear pass of node dereferences —
 /// instead of an index sort whose comparator would chase node pointers on
 /// every comparison (a cache miss per compare at 10k+ nodes).
 std::vector<std::size_t> sorted_order(const std::vector<ChordNode*>& nodes) {
@@ -114,38 +112,6 @@ void wire_ring_instantly(const std::vector<ChordNode*>& nodes) {
       const auto j = static_cast<std::size_t>(it - ids.begin());
       fingers[static_cast<std::size_t>(i)] = ring[j == n ? 0 : j];
       floor_pos = j;
-    }
-    node.install_state(pred, std::move(succs), fingers);
-  }
-}
-
-void wire_ring_instantly_naive(const std::vector<ChordNode*>& nodes) {
-  PGRID_EXPECTS(!nodes.empty());
-  const std::vector<const ChordNode*> view(nodes.begin(), nodes.end());
-  const std::vector<std::size_t> order = sorted_order(nodes);
-
-  const std::size_t n = order.size();
-  auto peer_at = [&](std::size_t ring_pos) {
-    ChordNode& node = *nodes[order[ring_pos % n]];
-    return Peer{node.addr(), node.id()};
-  };
-
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    ChordNode& node = *nodes[order[pos]];
-
-    const Peer pred = peer_at(pos + n - 1);
-    std::vector<Peer> succs;
-    const std::size_t list_len =
-        std::min(node.config().successor_list_len, n > 1 ? n - 1 : 1);
-    for (std::size_t k = 1; k <= std::max<std::size_t>(list_len, 1); ++k) {
-      succs.push_back(peer_at(pos + k));
-    }
-
-    std::array<Peer, ChordNode::kBits> fingers{};
-    for (int i = 0; i < ChordNode::kBits; ++i) {
-      const Guid start{node.id().value() + (std::uint64_t{1} << i)};
-      fingers[static_cast<std::size_t>(i)] =
-          ring_oracle_successor(view, start);
     }
     node.install_state(pred, std::move(succs), fingers);
   }

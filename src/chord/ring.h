@@ -43,12 +43,6 @@ class ChordHost final : public net::MessageHandler {
 /// searches. O(N log N) sort + O(N · (64 + log²N)).
 void wire_ring_instantly(const std::vector<ChordNode*>& nodes);
 
-/// Reference implementation of wire_ring_instantly that resolves each of
-/// the 64 fingers per node with an O(N) oracle scan — O(64 · N²) total.
-/// Retained only so property tests can assert the fast path produces
-/// bit-identical routing state; never call it on large rings.
-void wire_ring_instantly_naive(const std::vector<ChordNode*>& nodes);
-
 /// Ground-truth successor among the given nodes (O(N) scan).
 [[nodiscard]] Peer ring_oracle_successor(
     const std::vector<const ChordNode*>& nodes, Guid key);

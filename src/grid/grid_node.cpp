@@ -506,7 +506,6 @@ void GridNode::become_owner(const JobProfile& profile, std::uint32_t hops,
   }
   OwnedJob od;
   od.profile = profile;
-  od.last_heartbeat = net_.simulator().now();
   od.forward_budget = forward_budget;
   owned_.emplace(profile.guid, std::move(od));
   collector_->on_owner(profile.seq, net_.simulator().now(),
@@ -673,9 +672,8 @@ void GridNode::dispatch(Guid guid, Peer run, int match_hops) {
     // Dispatch to self: no network round trip needed.
     od.run = run;
     od.dispatched = true;
-    od.last_heartbeat = net_.simulator().now();
     od.phi.reset();
-    od.phi.heartbeat(od.last_heartbeat);
+    od.phi.heartbeat(net_.simulator().now());
     collector_->on_matched(od.profile.seq, net_.simulator().now(), match_hops,
                            static_cast<std::uint32_t>(run.addr));
     PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kJobMatched, addr(),
@@ -700,9 +698,8 @@ void GridNode::dispatch(Guid guid, Peer run, int match_hops) {
               if (accepted) {
                 job.run = run;
                 job.dispatched = true;
-                job.last_heartbeat = net_.simulator().now();
                 job.phi.reset();
-                job.phi.heartbeat(job.last_heartbeat);
+                job.phi.heartbeat(net_.simulator().now());
                 collector_->on_matched(job.profile.seq, net_.simulator().now(),
                                        match_hops,
                                        static_cast<std::uint32_t>(run.addr));
@@ -724,14 +721,10 @@ void GridNode::monitor_owned_jobs() {
       config_.heartbeat_period * config_.heartbeat_miss_threshold;
   std::vector<Guid> lost;
   for (auto& [guid, od] : owned_) {
-    if (!od.dispatched) continue;
-    // φ-accrual (when enabled) judges the run node by its learned heartbeat
-    // inter-arrival distribution instead of the fixed deadline; while the
-    // history is still thin it falls back to exactly the fixed rule.
-    const bool dead = config_.phi.enabled
-                          ? od.phi.evict(now, config_.phi, deadline)
-                          : now - od.last_heartbeat > deadline;
-    if (dead) lost.push_back(guid);
+    // φ judges the run node by its learned heartbeat inter-arrival
+    // distribution; while the history is still thin, by the cold-start
+    // deadline.
+    if (od.dispatched && od.phi.evict(now, deadline)) lost.push_back(guid);
   }
   for (Guid guid : lost) {
     OwnedJob& od = owned_.at(guid);
@@ -757,8 +750,7 @@ void GridNode::on_heartbeat(net::NodeAddr from, net::MessagePtr& msg) {
   const bool known =
       it != owned_.end() && it->second.profile.generation == m->generation;
   if (known && it->second.run.addr == from) {
-    it->second.last_heartbeat = net_.simulator().now();
-    it->second.phi.heartbeat(it->second.last_heartbeat);
+    it->second.phi.heartbeat(net_.simulator().now());
   }
   rpc_.reply(from, *m, std::make_unique<HeartbeatAck>(known));
 }
@@ -778,15 +770,13 @@ void GridNode::on_owner_handoff(net::NodeAddr from, net::MessagePtr& msg) {
     od.profile = m->profile;
     od.run = m->run_node;
     od.dispatched = true;
-    od.last_heartbeat = net_.simulator().now();
-    od.phi.heartbeat(od.last_heartbeat);
+    od.phi.heartbeat(net_.simulator().now());
     owned_.emplace(m->profile.guid, std::move(od));
   } else {
     it->second.run = m->run_node;
     it->second.dispatched = true;
-    it->second.last_heartbeat = net_.simulator().now();
     it->second.phi.reset();
-    it->second.phi.heartbeat(it->second.last_heartbeat);
+    it->second.phi.heartbeat(net_.simulator().now());
   }
   rpc_.reply(from, *m, std::make_unique<OwnerHandoffAck>());
 }
@@ -824,7 +814,6 @@ void GridNode::on_dispatch(net::NodeAddr from, net::MessagePtr& msg) {
     if (q.profile.guid == m->profile.guid &&
         q.profile.generation == m->profile.generation) {
       q.owner = m->owner;
-      q.missed_acks = 0;
       q.phi.heartbeat(net_.simulator().now());
       if (m->rpc_id != 0) {
         rpc_.reply(from, *m,
@@ -1003,16 +992,12 @@ void GridNode::do_heartbeats() {
                 }
                 if (q == nullptr) return;  // completed meanwhile
                 if (reply == nullptr) {
-                  ++q->missed_acks;
-                  // Fixed rule: give up after N consecutive missed acks.
-                  // φ-accrual: give up when the silence since the last ack
-                  // is implausible under the learned ack-gap distribution.
-                  const bool dead =
-                      config_.phi.enabled
-                          ? q->phi.evict(net_.simulator().now(), config_.phi,
-                                         config_.heartbeat_period *
-                                             config_.heartbeat_miss_threshold)
-                          : q->missed_acks >= config_.heartbeat_miss_threshold;
+                  // Give up when the silence since the last ack is
+                  // implausible under the learned ack-gap distribution.
+                  const bool dead = q->phi.evict(
+                      net_.simulator().now(),
+                      config_.heartbeat_period *
+                          config_.heartbeat_miss_threshold);
                   if (dead && !q->recovering_owner) {
                     PGRID_TRACE_EVENT(net_.trace(),
                                       obs::EventKind::kHeartbeatMiss, addr(),
@@ -1024,7 +1009,6 @@ void GridNode::do_heartbeats() {
                   }
                   return;
                 }
-                q->missed_acks = 0;
                 q->phi.heartbeat(net_.simulator().now());
                 if (!net::msg_cast<HeartbeatAck>(reply.get())->known &&
                     !q->recovering_owner) {
@@ -1044,9 +1028,9 @@ void GridNode::note_eviction(net::NodeAddr peer) {
   }
   const double latency = net_.simulator().now().sec() - down_since;
   stats_.detection_latency.add(latency);
-  // The fixed rule detects at worst one monitor/heartbeat round after the
-  // fixed deadline elapses; anything slower than that bound is a late
-  // detection the legacy detector would have beaten.
+  // A fixed deadline of heartbeat_period × miss_threshold detects at worst
+  // one monitor/heartbeat round after it elapses; anything slower than that
+  // bound is a late detection the fixed rule would have beaten.
   const double fixed_bound =
       (config_.heartbeat_period * (config_.heartbeat_miss_threshold + 1)).sec();
   if (latency > fixed_bound + 1e-9) ++stats_.fn_evictions;
@@ -1112,8 +1096,11 @@ void GridNode::recover_owner(Guid guid) {
     if (q == nullptr) return;
     q->recovering_owner = false;
     if (!new_owner.valid()) return;  // retry on the next heartbeat round
+    // A new owner gets a fresh detector: judging it by the old owner's
+    // silence would give up on it within one missed ack.
     q->owner = new_owner;
-    q->missed_acks = 0;
+    q->phi.reset();
+    q->phi.heartbeat(net_.simulator().now());
     ++stats_.owner_recoveries;
     PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kOwnerRecovery, addr(),
                       static_cast<std::uint32_t>(new_owner.addr), 0,
@@ -1132,7 +1119,7 @@ void GridNode::recover_owner(Guid guid) {
         od.profile = profile;
         od.run = self_peer();
         od.dispatched = true;
-        od.last_heartbeat = net_.simulator().now();
+        od.phi.heartbeat(net_.simulator().now());
         owned_.emplace(profile.guid, std::move(od));
       }
       adopt(self_peer());

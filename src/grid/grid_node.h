@@ -49,16 +49,13 @@ struct GridNodeConfig {
 
   // Grid protocol timers.
   sim::SimTime heartbeat_period = sim::SimTime::seconds(5.0);
+  /// heartbeat_period × heartbeat_miss_threshold is φ's deadline for a
+  /// peer with fewer than PhiDetector::kMinSamples observed heartbeat gaps,
+  /// in both monitoring directions (owner→run and run→owner).
   int heartbeat_miss_threshold = 3;
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   int match_max_attempts = 8;
   sim::SimTime match_retry_delay = sim::SimTime::seconds(3.0);
-
-  /// φ-accrual failure detection for heartbeat monitoring (both owner→run
-  /// and run→owner directions). Off by default: the legacy fixed
-  /// `heartbeat_period × miss_threshold` deadline applies and event/RNG
-  /// sequences are byte-identical to pre-detector builds.
-  PhiAccrualConfig phi;
 
   /// Anti-entropy owner audit: period between background checks that every
   /// owned-job record still agrees with the overlay's current GUID→owner
@@ -105,7 +102,7 @@ struct GridNodeStats {
   std::uint64_t walks_failed = 0;   // probes that found nothing (TTL/timeout)
   // Detector quality (populated only when a liveness oracle is injected).
   std::uint64_t fp_evictions = 0;  // evicted a peer that was actually alive
-  std::uint64_t fn_evictions = 0;  // detections slower than the fixed rule
+  std::uint64_t fn_evictions = 0;  // slower than a fixed deadline would be
   std::uint64_t owner_audit_repairs = 0;  // divergent owner records re-homed
   Samples detection_latency;  // actual death → eviction, seconds
 };
@@ -208,12 +205,11 @@ class GridNode final : public net::MessageHandler {
   struct OwnedJob {
     JobProfile profile;
     Peer run = kNoPeer;
-    sim::SimTime last_heartbeat;
     bool dispatched = false;
     int attempts = 0;
     std::uint32_t forward_budget = 0;  // CAN: remaining ownership moves
-    PhiDetector phi;  // run-node heartbeat inter-arrivals (consulted when
-                      // config_.phi.enabled; passive otherwise)
+    /// Run-node heartbeat inter-arrivals; seeded whenever `run` is set.
+    PhiDetector phi;
   };
 
   void become_owner(const JobProfile& profile, std::uint32_t hops,
@@ -248,9 +244,9 @@ class GridNode final : public net::MessageHandler {
   struct QueuedJob {
     JobProfile profile;
     Peer owner;
-    int missed_acks = 0;
     bool recovering_owner = false;
-    PhiDetector phi;  // owner heartbeat-ack inter-arrivals
+    /// Owner heartbeat-ack inter-arrivals; seeded whenever `owner` is set.
+    PhiDetector phi;
     /// Span of the DispatchJob that queued this job (unsampled for most):
     /// completion fires from a bare timer, so the run leg's Result/JobDone
     /// sends re-enter the trace through this saved context.

@@ -92,10 +92,6 @@ void GridSystem::build() {
   GridNodeConfig node_config = config_.node;
   node_config.kind = config_.kind;
   if (config_.light_maintenance) apply_light_maintenance(&node_config);
-  // One φ-accrual config drives every protocol layer stacked on the node.
-  node_config.chord.phi = node_config.phi;
-  node_config.can.phi = node_config.phi;
-  node_config.rntree.phi = node_config.phi;
   down_since_.assign(workload_.spec.node_count, -1.0);
   if (config_.track_liveness) {
     node_config.liveness_oracle = [this](net::NodeAddr a) {

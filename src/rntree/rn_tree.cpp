@@ -111,20 +111,15 @@ Aggregate RnTreeService::subtree_aggregate() const {
 void RnTreeService::expire_children() {
   const auto now = net_.simulator().now();
   for (auto it = children_.begin(); it != children_.end();) {
-    bool expired;
-    if (config_.phi.enabled) {
-      const ChildState& c = it->second;
-      expired = c.phi.evict(now, config_.phi, config_.child_expiry);
-      if (!expired && now - c.last_heard > config_.child_expiry) {
-        // Legacy expiry would have dropped this child; φ judges its slowed
-        // cadence survivable, keeping the subtree aggregate intact.
-        ++stats_.suspicions;
-        PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect,
-                          chord_.addr(), it->first, 3, 0,
-                          c.phi.phi(now, config_.phi, config_.child_expiry));
-      }
-    } else {
-      expired = now - it->second.last_heard > config_.child_expiry;
+    const ChildState& c = it->second;
+    const bool expired = c.phi.evict(now, config_.child_expiry);
+    if (!expired && now - c.phi.last_arrival() > config_.child_expiry) {
+      // A fixed child_expiry would have dropped this child; φ judges its
+      // slowed cadence survivable, keeping the subtree aggregate intact.
+      ++stats_.suspicions;
+      PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect,
+                        chord_.addr(), it->first, 3, 0,
+                        c.phi.phi(now, config_.child_expiry));
     }
     it = expired ? children_.erase(it) : std::next(it);
   }
@@ -384,8 +379,7 @@ void RnTreeService::on_agg_update(net::NodeAddr from, const AggUpdate& msg) {
   ChildState& child = children_[msg.sender.addr];
   child.id = msg.sender.id;
   child.aggregate = msg.aggregate;
-  child.last_heard = net_.simulator().now();
-  child.phi.heartbeat(child.last_heard);
+  child.phi.heartbeat(net_.simulator().now());
   rpc_.reply(from, msg, std::make_unique<AggAck>(represents(msg.parent_key)));
 }
 

@@ -35,16 +35,14 @@ namespace pgrid::rntree {
 
 struct RnTreeConfig {
   sim::SimTime aggregation_period = sim::SimTime::seconds(2.0);
-  /// Children unheard for this long are dropped from the aggregate.
+  /// φ's deadline for a child with fewer than PhiDetector::kMinSamples
+  /// observed push gaps: unheard for this long, it is dropped from the
+  /// aggregate.
   sim::SimTime child_expiry = sim::SimTime::seconds(7.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   /// Deadline for a whole search before reporting what we have (nothing).
   sim::SimTime search_timeout = sim::SimTime::seconds(30.0);
   std::uint32_t max_visits = 64;
-  /// φ-accrual liveness for child expiry (default off = fixed child_expiry).
-  /// When on, a child whose aggregation pushes merely slowed (congestion)
-  /// is retained until its silence is implausible under its learned cadence.
-  PhiAccrualConfig phi;
   /// Search-token lease (zero = off). A token can be lost without any hop
   /// observing it (the holder crashes after acking custody); the initiator
   /// then waits out the full search_timeout for nothing. With a lease, an
@@ -133,8 +131,9 @@ class RnTreeService {
   struct ChildState {
     Guid id;
     Aggregate aggregate;
-    sim::SimTime last_heard;
-    /// Aggregation-push inter-arrival history for φ-accrual expiry.
+    /// Aggregation-push inter-arrival history: a child whose pushes merely
+    /// slowed (congestion) is retained until its silence is implausible
+    /// under its learned cadence.
     PhiDetector phi;
   };
 

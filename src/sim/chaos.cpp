@@ -391,7 +391,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   gcfg.client.resubmit_runtime_factor = 2.0;
   gcfg.obs.trace = cfg.trace;
   if (cfg.self_healing) {
-    gcfg.node.phi.enabled = true;  // propagated to chord/can/rntree by build()
     gcfg.node.audit_period = SimTime::seconds(15.0);       // owner audits
     gcfg.node.can.audit_period = SimTime::seconds(15.0);   // tiling audits
     gcfg.node.rntree.token_lease = SimTime::seconds(10.0); // search leases

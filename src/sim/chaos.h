@@ -60,10 +60,10 @@ struct ChaosConfig {
   /// through short crash/recover dwells for the round's duration.
   bool enable_flapping = false;
 
-  /// Self-healing mode: enable φ-accrual liveness on every layer plus the
-  /// online anti-entropy machinery (owner audits, CAN gap audits, Chord
-  /// successor-tail refresh, RN-tree token leases) and the liveness oracle
+  /// Self-healing mode: enable the online anti-entropy audits (owner
+  /// audits, CAN gap audits, RN-tree token leases) and the liveness oracle
   /// that classifies evictions as false positives / late detections.
+  /// φ-accrual liveness runs on every layer in every mode.
   bool self_healing = false;
 
   /// Record a trace; on violation it is exported to trace_jsonl_path
@@ -97,11 +97,12 @@ struct ChaosStats {
   std::uint64_t batch_parts_sent = 0;
   std::uint64_t batches_delivered = 0;
   double sim_duration_sec = 0.0;
-  // Self-healing instrumentation (nonzero only with phi / audits enabled).
+  // Self-healing instrumentation. The eviction classes need the liveness
+  // oracle, which only self_healing attaches.
   std::uint64_t suspicions = 0;       // φ downgrades across all layers
   std::uint64_t repairs = 0;          // anti-entropy repairs across layers
   std::uint64_t fp_evictions = 0;     // evicted-but-alive (needs oracle)
-  std::uint64_t fn_evictions = 0;     // detected later than the fixed rule
+  std::uint64_t fn_evictions = 0;     // later than a fixed deadline would be
 };
 
 struct ChaosReport {

@@ -318,7 +318,7 @@ TEST(CanMaintenance, EveryNeighborHeardEveryRound) {
     for (std::size_t i = 0; i < 64; ++i) {
       for (const auto& [addr, ns] : fx.space.host(i).node().neighbors()) {
         ++contacts;
-        if (now - ns.last_heard > bound) ++violations;
+        if (now - ns.phi.last_arrival() > bound) ++violations;
       }
     }
   }

@@ -21,9 +21,18 @@ namespace pgrid {
 namespace {
 
 using grid::MatchmakerKind;
+using KindSeed = std::tuple<MatchmakerKind, int>;
 
-class ChaosMatrix
-    : public testing::TestWithParam<std::tuple<MatchmakerKind, int>> {};
+// Test name of one (matchmaker, seed) cell, e.g. "can_push_seed3".
+std::string cell_name(const testing::TestParamInfo<KindSeed>& info) {
+  std::string name = grid::matchmaker_name(std::get<0>(info.param));
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_seed" + std::to_string(std::get<1>(info.param));
+}
+
+class ChaosMatrix : public testing::TestWithParam<KindSeed> {};
 
 TEST_P(ChaosMatrix, InvariantsHoldUnderRandomFaultSchedule) {
   sim::ChaosConfig cfg;
@@ -47,13 +56,7 @@ INSTANTIATE_TEST_SUITE_P(
                                      MatchmakerKind::kCanBasic,
                                      MatchmakerKind::kCanPush),
                      testing::Range(1, 21)),
-    [](const testing::TestParamInfo<ChaosMatrix::ParamType>& info) {
-      std::string name = grid::matchmaker_name(std::get<0>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
-    });
+    cell_name);
 
 // Extended matrix: topology-correlated crash bursts and join-leave flapping
 // added to the drawn fault classes, with the self-healing machinery
@@ -61,8 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The invariants do not weaken: exactly-once completion, overlay
 // re-convergence, and no monitor leaks must hold through arc/slab-wide
 // blackouts and rapid membership oscillation.
-class SelfHealingChaosMatrix
-    : public testing::TestWithParam<std::tuple<MatchmakerKind, int>> {};
+class SelfHealingChaosMatrix : public testing::TestWithParam<KindSeed> {};
 
 TEST_P(SelfHealingChaosMatrix, InvariantsHoldUnderCorrelatedFaults) {
   sim::ChaosConfig cfg;
@@ -87,13 +89,21 @@ INSTANTIATE_TEST_SUITE_P(
                                      MatchmakerKind::kCanBasic,
                                      MatchmakerKind::kCanPush),
                      testing::Range(1, 5)),
-    [](const testing::TestParamInfo<SelfHealingChaosMatrix::ParamType>& info) {
-      std::string name = grid::matchmaker_name(std::get<0>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
-    });
+    cell_name);
+
+// Cells that fail when a site creates a liveness record, or points one at
+// a new peer, without seeding its φ detector (DESIGN.md §15). can 106, can
+// 132 and rn-tree 155 failed before every such site was seeded: two owner
+// monitors leaked and a CAN tiling broke. rn-tree 172 leaks a monitor if
+// the record a run node self-adopts as owner goes unseeded: nothing ever
+// evicts it after the job moves to another owner.
+INSTANTIATE_TEST_SUITE_P(
+    Regressions, SelfHealingChaosMatrix,
+    testing::Values(KindSeed{MatchmakerKind::kCanBasic, 106},
+                    KindSeed{MatchmakerKind::kCanBasic, 132},
+                    KindSeed{MatchmakerKind::kRnTree, 155},
+                    KindSeed{MatchmakerKind::kRnTree, 172}),
+    cell_name);
 
 // Batched matrix: every maintenance round runs inside a batch scope, so
 // maintenance traffic rides Batch envelopes, which the fault plane drops,
@@ -101,8 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
 // schedules and hold the same invariants, and they also check that
 // envelopes really carried traffic through the faults, so the invariants
 // cannot pass on a run whose rounds never coalesced anything.
-class BatchedChaosMatrix
-    : public testing::TestWithParam<std::tuple<MatchmakerKind, int>> {};
+class BatchedChaosMatrix : public testing::TestWithParam<KindSeed> {};
 
 TEST_P(BatchedChaosMatrix, InvariantsHoldWithBatchedMaintenance) {
   sim::ChaosConfig cfg;
@@ -128,13 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
                                      MatchmakerKind::kCanBasic,
                                      MatchmakerKind::kCanPush),
                      testing::Range(1, 5)),
-    [](const testing::TestParamInfo<BatchedChaosMatrix::ParamType>& info) {
-      std::string name = grid::matchmaker_name(std::get<0>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
-    });
+    cell_name);
 
 // The full standard matrix (24 cells: 3 kinds x seeds 1..8) plus the
 // extended self-healing matrix (12 cells: 3 kinds x seeds 1..4), run through

@@ -217,13 +217,11 @@ TEST(GridRecovery, OwnerDeathRecoversUnderReorderedHeartbeats) {
   EXPECT_GT(system.net_stats().messages_reordered, 0u);
 }
 
-// End-to-end with the φ-accrual detector driving evictions instead of the
-// fixed deadline: recovery still happens, and with the ground-truth oracle
-// attached the eviction of a genuinely crashed node is not a false
-// positive.
+// End-to-end with the φ-accrual detector driving evictions: recovery
+// happens, and with the ground-truth oracle attached the eviction of a
+// genuinely crashed node is not a false positive.
 TEST(GridRecovery, PhiDetectorDrivesOwnerRecovery) {
   GridConfig config = recovery_config(MatchmakerKind::kRnTree, 9);
-  config.node.phi.enabled = true;
   config.node.audit_period = sim::SimTime::seconds(15.0);
   config.track_liveness = true;
   GridSystem system(config, recovery_workload(9, 10, 6, 300.0));
@@ -246,13 +244,73 @@ TEST(GridRecovery, PhiDetectorDrivesOwnerRecovery) {
   }
 }
 
-// Under churn, peers keep leaving the Chord fingers and successor lists.
-// With φ on, each one's detector must leave with it: a node holds detectors
-// only for its predecessor and its routing peers, with slack for
-// predecessors replaced since the last routing-table rebuild.
+// A run node that adopts a new owner must judge it by a fresh detector, not
+// by the dead owner's silence. The first heartbeat to the new owner is
+// lost; with the dead owner's history that one missed ack would already
+// look like many seconds of silence and condemn a live owner.
+TEST(GridRecovery, AdoptedOwnerSurvivesOneMissedAck) {
+  GridConfig config = recovery_config(MatchmakerKind::kRnTree, 2);
+  config.node.heartbeat_miss_threshold = 3;  // 9 s cold-start deadline
+  config.track_liveness = true;
+  GridSystem system(config, recovery_workload(2, 10, 6, 300.0));
+  system.run_for(40.0);
+
+  std::size_t owner_idx = SIZE_MAX;
+  std::size_t run_idx = SIZE_MAX;
+  std::uint64_t job = 0;
+  for (std::size_t i = 0; i < system.node_count() && owner_idx == SIZE_MAX;
+       ++i) {
+    for (std::uint64_t seq : system.node(i).owned_seqs()) {
+      const auto& outcome = system.collector().job(seq);
+      if (outcome.started() && !outcome.completed() &&
+          outcome.run_node != i) {
+        owner_idx = i;
+        run_idx = outcome.run_node;
+        job = seq;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(owner_idx, SIZE_MAX) << "no suitable owner found";
+  system.crash_node(owner_idx);
+
+  // Step until the run node has handed the job to a new owner.
+  const GridNode& runner = system.node(run_idx);
+  for (int step = 0; step < 1200 && runner.stats().owner_recoveries == 0;
+       ++step) {
+    system.run_for(0.05);
+  }
+  ASSERT_EQ(runner.stats().owner_recoveries, 1u);
+  std::size_t new_owner = SIZE_MAX;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    const auto seqs = system.node(i).owned_seqs();
+    if (i != owner_idx &&
+        std::find(seqs.begin(), seqs.end(), job) != seqs.end()) {
+      new_owner = i;
+    }
+  }
+  ASSERT_NE(new_owner, SIZE_MAX);
+  ASSERT_NE(new_owner, run_idx);
+
+  // Drop the run node's traffic to the new owner for one heartbeat period.
+  net::FaultPlane& faults = system.network().fault_plane();
+  const auto cut = faults.cut("blip", {runner.addr()},
+                              {system.node(new_owner).addr()},
+                              /*one_way=*/true);
+  faults.heal_after(cut, config.node.heartbeat_period);
+
+  system.run();
+  ASSERT_TRUE(system.finished());
+  EXPECT_EQ(system.collector().completed_count(), 6u);
+  EXPECT_EQ(runner.stats().owner_recoveries, 1u);
+  EXPECT_EQ(system.aggregate_node_stats().fp_evictions, 0u);
+}
+
+// Under churn, peers keep leaving the Chord fingers, successor lists and
+// predecessor slots. Each one's detector must leave with it: a node holds
+// detectors only for its predecessor and its routing peers.
 TEST(GridRecovery, PhiDetectorsStayWithinChordRoutingState) {
   GridConfig config = recovery_config(MatchmakerKind::kRnTree, 11);
-  config.node.phi.enabled = true;
   config.loss_probability = 0.01;
   GridSystem system(config, recovery_workload(11, 128, 200, 100.0, false));
   system.build();
@@ -276,7 +334,7 @@ TEST(GridRecovery, PhiDetectorsStayWithinChordRoutingState) {
     };
     for (int f = 0; f < chord::ChordNode::kBits; ++f) add(node->finger(f));
     for (const chord::Peer& p : node->successor_list()) add(p);
-    EXPECT_LE(node->detector_count(), peers.size() + 2) << "node " << i;
+    EXPECT_LE(node->detector_count(), peers.size() + 1) << "node " << i;
     ++checked;
   }
   EXPECT_GT(checked, system.node_count() / 2);

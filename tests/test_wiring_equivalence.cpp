@@ -1,17 +1,20 @@
 // Property tests for the O(N log N) instant-wiring paths: the fast
 // wire_ring_instantly / wire_space_instantly must produce *bit-identical*
 // routing state (fingers, successor lists, predecessors, zones, neighbor
-// tables) to the retained naive references across randomized sizes and
+// tables) to the naive O(N²) references below across randomized sizes and
 // dimensions, and the cached oracle indexes must agree with the O(N)
 // ground-truth scans after interleaved crash/restart.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 #include <vector>
 
 #include "can/space.h"
 #include "chord/ring.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -19,6 +22,89 @@
 namespace {
 
 using namespace pgrid;
+
+// --- naive references -------------------------------------------------------
+
+/// Reference for chord::wire_ring_instantly: resolves each of the 64
+/// fingers per node with the O(N) oracle scan, O(64 · N²) in all.
+void wire_ring_naive(const std::vector<chord::ChordNode*>& nodes) {
+  const std::vector<const chord::ChordNode*> view(nodes.begin(), nodes.end());
+  const std::size_t n = nodes.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return nodes[a]->id().value() < nodes[b]->id().value();
+  });
+  const auto peer_at = [&](std::size_t ring_pos) {
+    const chord::ChordNode& node = *nodes[order[ring_pos % n]];
+    return chord::Peer{node.addr(), node.id()};
+  };
+
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    chord::ChordNode& node = *nodes[order[pos]];
+    std::vector<chord::Peer> succs;
+    const std::size_t list_len =
+        std::min(node.config().successor_list_len, n > 1 ? n - 1 : 1);
+    for (std::size_t k = 1; k <= std::max<std::size_t>(list_len, 1); ++k) {
+      succs.push_back(peer_at(pos + k));
+    }
+    std::array<chord::Peer, chord::ChordNode::kBits> fingers{};
+    for (int i = 0; i < chord::ChordNode::kBits; ++i) {
+      const Guid start{node.id().value() + (std::uint64_t{1} << i)};
+      fingers[static_cast<std::size_t>(i)] =
+          chord::ring_oracle_successor(view, start);
+    }
+    node.install_state(peer_at(pos + n - 1), std::move(succs), fingers);
+  }
+}
+
+/// Reference for can::wire_space_instantly: O(N²) point location plus
+/// O(N²) all-pairs neighbor discovery.
+void wire_space_naive(const std::vector<can::CanNode*>& nodes,
+                      std::size_t dims) {
+  const std::size_t n = nodes.size();
+  // Logical replay of sequential joins: node k's zone is found by splitting
+  // the zone currently containing its representative point, with the same
+  // split_for rule the protocol uses.
+  std::vector<can::Zone> zone_of(n);
+  zone_of[0] = can::Zone::whole(dims);
+  for (std::size_t k = 1; k < n; ++k) {
+    const can::Point& jp = nodes[k]->rep_point();
+    std::size_t owner = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      if (zone_of[m].contains(jp)) {
+        owner = m;
+        break;
+      }
+    }
+    const can::Point& op = nodes[owner]->rep_point();
+    const can::Point keeper =
+        zone_of[owner].contains(op) ? op : zone_of[owner].center();
+    const auto [mine, theirs] = zone_of[owner].split_for(keeper, jp);
+    zone_of[owner] = mine;
+    zone_of[k] = theirs;
+  }
+
+  std::vector<std::vector<std::size_t>> nbrs(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a != b && zone_of[a].abuts(zone_of[b])) nbrs[a].push_back(b);
+    }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    FlatMap<net::NodeAddr, can::NeighborState> table;
+    for (std::size_t b : nbrs[a]) {
+      can::NeighborState& ns = table[nodes[b]->addr()];
+      ns.id = nodes[b]->id();
+      ns.zones.assign(1, zone_of[b]);
+      ns.rep_point = nodes[b]->rep_point();
+      for (std::size_t c : nbrs[b]) {
+        ns.their_neighbors.push_back(nodes[c]->addr());
+      }
+    }
+    nodes[a]->install_state({zone_of[a]}, std::move(table));
+  }
+}
 
 // --- Chord: fast wiring == naive wiring -------------------------------------
 
@@ -71,7 +157,7 @@ TEST(WiringEquivalence, ChordFastMatchesNaiveAcrossSizes) {
     std::vector<chord::ChordNode*> nodes;
     for (std::size_t i = 0; i < n; ++i) nodes.push_back(&ring.host(i).node());
 
-    chord::wire_ring_instantly_naive(nodes);
+    wire_ring_naive(nodes);
     std::vector<ChordSnapshot> naive;
     naive.reserve(n);
     for (const chord::ChordNode* node : nodes) {
@@ -134,7 +220,7 @@ void run_can_case(std::size_t n, std::size_t dims,
   std::vector<can::CanNode*> nodes;
   for (std::size_t i = 0; i < n; ++i) nodes.push_back(&space.host(i).node());
 
-  can::wire_space_instantly_naive(nodes, dims);
+  wire_space_naive(nodes, dims);
   std::vector<CanSnapshot> naive;
   naive.reserve(n);
   for (const can::CanNode* node : nodes) {
