@@ -211,12 +211,10 @@ inline void attach_pool_stats(CellResult& r,
 inline CellResult summarize(const grid::GridSystem& system) {
   CellResult r;
   const auto& c = system.collector();
-  // Streaming-safe accessors: identical quantities in batch mode, O(buckets)
-  // storage when the driver enables obs.streaming_metrics.
-  const RunningStats waits = c.wait_stats();
-  if (waits.count() > 0) {
+  const Samples waits = c.wait_times();
+  if (!waits.empty()) {
     r.wait_avg = waits.mean();
-    r.wait_stdev = waits.sample_stdev();
+    r.wait_stdev = waits.stdev();
   }
   const RunningStats hops = c.match_hops_stats();
   if (hops.count() > 0) r.match_hops_avg = hops.mean();

@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
         gc.client.max_generations = 8;
         gc.node.heartbeat_period = sim::SimTime::seconds(5.0);
         gc.node.heartbeat_miss_threshold = 3;
-        gc.obs.streaming_metrics = true;
         gc.track_liveness = true;  // the oracle classifies every eviction
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
           gc.node.can.audit_period = sim::SimTime::seconds(15.0);
           gc.node.rntree.token_lease = sim::SimTime::seconds(10.0);
         }
-        gc.obs.streaming_metrics = true;
         gc.track_liveness = true;
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));

@@ -73,9 +73,6 @@ int main(int argc, char** argv) {
         const auto spec = make_spec(scale, cell.mix, cell.mix,
                                     cell.constraint, wl_seed);
         grid::GridConfig gc = make_grid_config(cell.kind, wl_seed ^ 0x5bd1e995);
-        // Streaming aggregates: no per-job record vector, so sweeping very
-        // large --jobs values holds O(buckets) per cell instead of O(jobs).
-        gc.obs.streaming_metrics = true;
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
         system.run();

@@ -93,9 +93,6 @@ int main(int argc, char** argv) {
         const auto pool_before = net::MessagePool::stats();
         grid::GridConfig gc = make_grid_config(
             cell.kind, derive_seed(base.seed, SeedStream::kSystem));
-        // Streaming aggregates: the scaling sweep's job count grows with the
-        // node count, so per-job records would dominate memory at the top end.
-        gc.obs.streaming_metrics = true;
         grid::GridSystem system(gc, workload::generate(spec));
         system.run();
         CellResult r = summarize(system);
@@ -317,7 +314,6 @@ int main(int argc, char** argv) {
         derive_seed(base.seed, SeedStream::kWorkload, scale.nodes));
     grid::GridConfig gc = make_grid_config(
         MatchmakerKind::kCanBasic, derive_seed(base.seed, SeedStream::kSystem));
-    gc.obs.streaming_metrics = true;
     const auto pool_before = net::MessagePool::stats();
     grid::GridSystem system(gc, workload::generate(spec));
     system.run_for(config.get_double("mega-window", 900.0));

@@ -62,10 +62,8 @@ int main(int argc, char** argv) {
         row.wait_avg = waits.empty() ? 0 : waits.mean();
         row.wait_sd = waits.empty() ? 0 : waits.stdev();
         row.wait_p99 = waits.empty() ? 0 : waits.quantile(0.99);
-        const Samples inj = c.injection_hops();
-        const Samples match = c.matchmaking_hops();
-        row.hops = (inj.empty() ? 0 : inj.mean()) +
-                   (match.empty() ? 0 : match.mean());
+        row.hops = c.injection_hops_stats().mean() +
+                   c.match_hops_stats().mean();
         row.msgs_per_job =
             static_cast<double>(system.net_stats().messages_sent) /
             static_cast<double>(spec.job_count);

@@ -31,7 +31,7 @@
 // per-hop latency trees with flow arrows), --timeseries[=path] writes
 // per-interval gauges as CSV (default timeseries.csv), --sample-period=sec
 // sets the interval (default 5), --metrics-out=path writes the final
-// MetricsRegistry snapshot (counters, gauges, distributions) as CSV.
+// MetricsRegistry snapshot (one row per gauge) as CSV.
 
 #include <cstdio>
 #include <string>

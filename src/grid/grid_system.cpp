@@ -31,11 +31,9 @@ void apply_light_maintenance(GridNodeConfig* config) {
 GridSystem::GridSystem(GridConfig config, workload::Workload workload)
     : config_(config),
       workload_(std::move(workload)),
-      // Several shards force batch collectors: lifecycle events for one job
-      // land on several shards, and only batch records merge exactly.
-      collector_(workload_.jobs.size(), workload_.spec.node_count,
-                 config.obs.streaming_metrics && config.shards <= 1),
+      collector_(workload_.jobs.size(), workload_.spec.node_count),
       rng_(mix64(config.seed) ^ 0xA5A5A5A5A5A5A5A5ULL) {
+  PGRID_EXPECTS(!config_.obs.streaming_metrics);
   PGRID_EXPECTS(workload_.node_caps.size() == workload_.spec.node_count);
   const std::size_t shards = std::max<std::size_t>(config_.shards, 1);
   engine_ = std::make_unique<sim::ShardedEngine>(shards, config_.latency.min);
@@ -51,8 +49,7 @@ GridSystem::GridSystem(GridConfig config, workload::Workload workload)
         config_.loss_probability, bus_.get(), static_cast<std::uint32_t>(s)));
     if (shards > 1) {
       shard_collectors_.push_back(std::make_unique<metrics::Collector>(
-          workload_.jobs.size(), workload_.spec.node_count,
-          /*streaming=*/false));
+          workload_.jobs.size(), workload_.spec.node_count));
     }
   }
 }
@@ -337,8 +334,7 @@ void GridSystem::register_builtin_metrics() {
     });
   }
 
-  // Job flow as owned counters would need grid-layer plumbing; the terminal
-  // count is already a sampler gauge. Expose the wait distribution shape.
+  // Job flow, read from the collector's aggregate counts.
   registry_->gauge("jobs/completed", [this] {
     return static_cast<double>(collector_.completed_count());
   });

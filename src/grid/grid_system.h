@@ -57,8 +57,8 @@ struct GridConfig {
   /// conservative-lookahead windows. Outputs are a deterministic function of
   /// (seed, config), the same for every N. Several shards carry the
   /// steady-state plane only: overlay matchmakers, no churn/crash/restart,
-  /// no fault plane, no trace/sampler/metrics CSV, no manual submission, a
-  /// batch collector, and a positive latency floor.
+  /// no fault plane, no trace/sampler/metrics CSV, no manual submission,
+  /// and a positive latency floor.
   std::size_t shards = 0;
 };
 

@@ -7,38 +7,18 @@
 
 namespace pgrid::metrics {
 
-Collector::Collector(std::size_t job_count, std::size_t node_count,
-                     bool streaming)
-    : streaming_(streaming),
-      job_count_(job_count),
-      jobs_(streaming ? 0 : job_count),
+Collector::Collector(std::size_t job_count, std::size_t node_count)
+    : jobs_(job_count),
       node_jobs_(node_count, 0),
       node_busy_(node_count, 0.0) {}
 
 void Collector::on_submit(std::uint64_t seq, sim::SimTime t) {
-  if (streaming_) {
-    // First submission creates the in-flight entry; a duplicate submit for a
-    // live job keeps the original timestamp (first-event-wins, matching the
-    // batch path). The grid layer never re-submits a completed seq.
-    auto [it, inserted] = inflight_.try_emplace(seq);
-    if (it->second.submit_sec == JobOutcome::kNever) {
-      it->second.submit_sec = t.sec();
-    }
-    return;
-  }
   JobOutcome& j = jobs_.at(seq);
   if (j.submit_sec == JobOutcome::kNever) j.submit_sec = t.sec();
 }
 
 void Collector::on_owner(std::uint64_t seq, sim::SimTime t,
                          int injection_hops) {
-  if (streaming_) {
-    auto it = inflight_.find(seq);
-    if (it == inflight_.end()) return;  // late event for a retired job
-    it->second.owner_sec = t.sec();
-    it->second.injection_hops = injection_hops;
-    return;
-  }
   JobOutcome& j = jobs_.at(seq);
   j.owner_sec = t.sec();
   j.injection_hops = injection_hops;
@@ -46,15 +26,6 @@ void Collector::on_owner(std::uint64_t seq, sim::SimTime t,
 
 void Collector::on_matched(std::uint64_t seq, sim::SimTime t, int hops,
                            std::uint32_t run_node) {
-  if (streaming_) {
-    auto it = inflight_.find(seq);
-    if (it == inflight_.end()) return;
-    if (!it->second.matched) {
-      it->second.matched = true;
-      match_hops_stats_.add(static_cast<double>(hops));
-    }
-    return;
-  }
   JobOutcome& j = jobs_.at(seq);
   if (j.matched_sec == JobOutcome::kNever) {
     j.matched_sec = t.sec();
@@ -66,39 +37,15 @@ void Collector::on_matched(std::uint64_t seq, sim::SimTime t, int hops,
 
 void Collector::on_started(std::uint64_t seq, sim::SimTime t,
                            std::uint32_t start_node) {
-  if (streaming_) {
-    auto it = inflight_.find(seq);
-    if (it == inflight_.end() || it->second.started) return;
-    it->second.started = true;
-    if (it->second.submit_sec != JobOutcome::kNever) {
-      const double wait = t.sec() - it->second.submit_sec;
-      wait_stats_.add(wait);
-      wait_hist_.add(wait);
-    }
-  } else {
-    JobOutcome& j = jobs_.at(seq);
-    if (j.started_sec != JobOutcome::kNever) return;
-    j.started_sec = t.sec();
-    j.start_node = start_node;
-  }
+  JobOutcome& j = jobs_.at(seq);
+  if (j.started_sec != JobOutcome::kNever) return;
+  j.started_sec = t.sec();
+  j.start_node = start_node;
   ++started_n_;
   if (start_node < node_jobs_.size()) ++node_jobs_[start_node];
 }
 
 void Collector::on_completed(std::uint64_t seq, sim::SimTime t) {
-  if (streaming_) {
-    auto it = inflight_.find(seq);
-    if (it == inflight_.end()) return;  // duplicate result
-    ++completed_n_;
-    makespan_sec_ = std::max(makespan_sec_, t.sec());
-    // Retire: injection hops are last-wins, so they fold in only now.
-    if (it->second.owner_sec != JobOutcome::kNever) {
-      injection_hops_retired_.add(
-          static_cast<double>(it->second.injection_hops));
-    }
-    inflight_.erase(it);
-    return;
-  }
   JobOutcome& j = jobs_.at(seq);
   if (j.completed_sec == JobOutcome::kNever) {
     j.completed_sec = t.sec();
@@ -109,22 +56,15 @@ void Collector::on_completed(std::uint64_t seq, sim::SimTime t) {
 
 void Collector::on_resubmit(std::uint64_t seq) {
   ++resubmissions_n_;
-  if (!streaming_) ++jobs_.at(seq).resubmissions;
+  ++jobs_.at(seq).resubmissions;
 }
 
 void Collector::on_requeue(std::uint64_t seq) {
   ++requeues_n_;
-  if (!streaming_) ++jobs_.at(seq).requeues;
+  ++jobs_.at(seq).requeues;
 }
 
 void Collector::on_unmatched(std::uint64_t seq) {
-  if (streaming_) {
-    auto it = inflight_.find(seq);
-    if (it == inflight_.end() || it->second.unmatched) return;
-    it->second.unmatched = true;
-    ++unmatched_n_;
-    return;
-  }
   JobOutcome& j = jobs_.at(seq);
   if (!j.unmatched) {
     j.unmatched = true;
@@ -137,8 +77,7 @@ void Collector::add_node_busy(std::uint32_t node, double seconds) {
 }
 
 void Collector::merge_from_shards(const std::vector<const Collector*>& parts) {
-  PGRID_EXPECTS(!streaming_);
-  jobs_.assign(job_count_, JobOutcome{});
+  std::fill(jobs_.begin(), jobs_.end(), JobOutcome{});
   node_jobs_.assign(node_jobs_.size(), 0);
   node_busy_.assign(node_busy_.size(), 0.0);
   completed_n_ = started_n_ = unmatched_n_ = 0;
@@ -155,7 +94,7 @@ void Collector::merge_from_shards(const std::vector<const Collector*>& parts) {
   };
 
   for (const Collector* part : parts) {
-    PGRID_EXPECTS(part != nullptr && !part->streaming_);
+    PGRID_EXPECTS(part != nullptr);
     PGRID_EXPECTS(part->jobs_.size() == jobs_.size());
     PGRID_EXPECTS(part->node_busy_.size() == node_busy_.size());
     for (std::size_t seq = 0; seq < jobs_.size(); ++seq) {
@@ -209,13 +148,7 @@ void Collector::merge_from_shards(const std::vector<const Collector*>& parts) {
   }
 }
 
-const JobOutcome& Collector::job(std::uint64_t seq) const {
-  PGRID_EXPECTS(!streaming_);
-  return jobs_.at(seq);
-}
-
 Samples Collector::wait_times() const {
-  PGRID_EXPECTS(!streaming_);
   Samples s;
   s.reserve(jobs_.size());
   for (const auto& j : jobs_) {
@@ -224,39 +157,7 @@ Samples Collector::wait_times() const {
   return s;
 }
 
-Samples Collector::matchmaking_hops() const {
-  PGRID_EXPECTS(!streaming_);
-  Samples s;
-  for (const auto& j : jobs_) {
-    if (j.matched_sec != JobOutcome::kNever) {
-      s.add(static_cast<double>(j.match_hops));
-    }
-  }
-  return s;
-}
-
-Samples Collector::injection_hops() const {
-  PGRID_EXPECTS(!streaming_);
-  Samples s;
-  for (const auto& j : jobs_) {
-    if (j.owner_sec != JobOutcome::kNever) {
-      s.add(static_cast<double>(j.injection_hops));
-    }
-  }
-  return s;
-}
-
-RunningStats Collector::wait_stats() const {
-  if (streaming_) return wait_stats_;
-  RunningStats s;
-  for (const auto& j : jobs_) {
-    if (j.started()) s.add(j.wait_sec());
-  }
-  return s;
-}
-
 RunningStats Collector::match_hops_stats() const {
-  if (streaming_) return match_hops_stats_;
   RunningStats s;
   for (const auto& j : jobs_) {
     if (j.matched_sec != JobOutcome::kNever) {
@@ -267,36 +168,13 @@ RunningStats Collector::match_hops_stats() const {
 }
 
 RunningStats Collector::injection_hops_stats() const {
-  if (!streaming_) {
-    RunningStats s;
-    for (const auto& j : jobs_) {
-      if (j.owner_sec != JobOutcome::kNever) {
-        s.add(static_cast<double>(j.injection_hops));
-      }
-    }
-    return s;
-  }
-  // Retired jobs are already folded; never-completed jobs that did reach an
-  // owner still carry their hops in the in-flight table. Fold them in seq
-  // order so the result is independent of hash iteration order.
-  RunningStats s = injection_hops_retired_;
-  std::vector<std::pair<std::uint64_t, int>> live;
-  live.reserve(inflight_.size());
-  for (const auto& [seq, f] : inflight_) {
-    if (f.owner_sec != JobOutcome::kNever) live.emplace_back(seq, f.injection_hops);
-  }
-  std::sort(live.begin(), live.end());
-  for (const auto& [seq, hops] : live) s.add(static_cast<double>(hops));
-  return s;
-}
-
-Histogram Collector::wait_histogram() const {
-  if (streaming_) return wait_hist_;
-  Histogram h{kWaitHistLo, kWaitHistHi, kWaitHistBuckets};
+  RunningStats s;
   for (const auto& j : jobs_) {
-    if (j.started()) h.add(j.wait_sec());
+    if (j.owner_sec != JobOutcome::kNever) {
+      s.add(static_cast<double>(j.injection_hops));
+    }
   }
-  return h;
+  return s;
 }
 
 RunningStats Collector::jobs_per_node() const {
@@ -312,25 +190,20 @@ RunningStats Collector::busy_per_node() const {
 }
 
 std::size_t Collector::memory_bytes() const noexcept {
-  const std::size_t inflight_bytes =
-      inflight_.size() * (sizeof(std::pair<const std::uint64_t, InFlight>) +
-                          2 * sizeof(void*)) +
-      inflight_.bucket_count() * sizeof(void*);
-  return jobs_.capacity() * sizeof(JobOutcome) + inflight_bytes +
+  return jobs_.capacity() * sizeof(JobOutcome) +
          node_jobs_.capacity() * sizeof(std::uint32_t) +
-         node_busy_.capacity() * sizeof(double) +
-         wait_hist_.bucket_count() * sizeof(std::uint64_t);
+         node_busy_.capacity() * sizeof(double);
 }
 
 std::string Collector::summary() const {
-  const RunningStats waits = wait_stats();
+  const Samples waits = wait_times();
   const RunningStats hops = match_hops_stats();
   char buf[256];
   std::snprintf(
       buf, sizeof buf,
       "completed %zu/%zu  wait avg=%.1fs stdev=%.1fs  hops avg=%.2f  "
       "requeues=%llu resubmits=%llu",
-      completed_count(), job_count(), waits.mean(), waits.sample_stdev(),
+      completed_count(), job_count(), waits.mean(), waits.stdev(),
       hops.mean(), static_cast<unsigned long long>(total_requeues()),
       static_cast<unsigned long long>(total_resubmissions()));
   return buf;

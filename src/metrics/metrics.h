@@ -3,19 +3,12 @@
 // per-node load, and the summary statistics the paper's figures report
 // (average and standard deviation of job wait time, Fig. 2).
 //
-// Two storage modes:
-//  - Batch (default): one JobOutcome record per job, supporting exact
-//    quantiles and per-job inspection (Collector::job). O(jobs) memory.
-//  - Streaming: only in-flight jobs are tracked individually; terminal
-//    statistics accumulate into RunningStats and a fixed-bucket wait
-//    histogram. Memory is O(max backlog + buckets), so million-job runs
-//    no longer hold a record vector. Per-job accessors are unavailable.
-// The streaming-safe summary accessors (wait_stats & co.) work in both
-// modes; drivers that never inspect individual jobs should use those.
+// One JobOutcome record per job (80 bytes) is the only store: every
+// summary is computed from the records, so it supports exact quantiles,
+// per-job inspection (Collector::job) and the shard merge.
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -62,10 +55,7 @@ struct JobOutcome {
 /// the benches read summaries.
 class Collector {
  public:
-  explicit Collector(std::size_t job_count, std::size_t node_count,
-                     bool streaming = false);
-
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
+  Collector(std::size_t job_count, std::size_t node_count);
 
   // --- event recording (called by the grid layer) -----------------------
   void on_submit(std::uint64_t seq, sim::SimTime t);
@@ -84,24 +74,22 @@ class Collector {
   void add_node_busy(std::uint32_t node, double seconds);
 
   /// Rebuild this collector as the merge of a multi-shard run's per-shard
-  /// parts (batch mode only, both sides). Each lifecycle event lands in the
-  /// shard collector of the node or client that observed it; the merge
-  /// reassembles per-job records field-wise with the same rules a direct
-  /// write applies in event order — first event (minimum time) wins; owner
-  /// and run node are last-wins (maximum time); per-job retry counters sum —
-  /// then recomputes every aggregate counter from the merged records (node
-  /// busy-seconds, which have no record backing, sum element-wise). So the
-  /// result equals the record one collector would have written for the same
-  /// trajectory, whatever the shard count. Idempotent: existing contents
-  /// are discarded.
+  /// parts. Each lifecycle event lands in the shard collector of the node or
+  /// client that observed it; the merge reassembles per-job records
+  /// field-wise with the same rules a direct write applies in event order —
+  /// first event (minimum time) wins; owner and run node are last-wins
+  /// (maximum time); per-job retry counters sum — then recomputes every
+  /// aggregate counter from the merged records (node busy-seconds, which
+  /// have no record backing, sum element-wise). So the result equals the
+  /// record one collector would have written for the same trajectory,
+  /// whatever the shard count. Idempotent: existing contents are discarded.
   void merge_from_shards(const std::vector<const Collector*>& parts);
 
   // --- summaries ----------------------------------------------------------
-  /// Per-job record; batch mode only.
-  [[nodiscard]] const JobOutcome& job(std::uint64_t seq) const;
-  [[nodiscard]] std::size_t job_count() const noexcept {
-    return streaming_ ? job_count_ : jobs_.size();
+  [[nodiscard]] const JobOutcome& job(std::uint64_t seq) const {
+    return jobs_.at(seq);
   }
+  [[nodiscard]] std::size_t job_count() const noexcept { return jobs_.size(); }
   [[nodiscard]] std::size_t completed_count() const noexcept {
     return completed_n_;
   }
@@ -118,22 +106,13 @@ class Collector {
     return requeues_n_;
   }
 
-  /// Wait times of all started jobs (the Fig. 2 quantity); batch mode only
-  /// (supports exact quantiles). Streaming drivers use wait_stats().
+  /// Wait times of all started jobs (the Fig. 2 quantity), in job order.
   [[nodiscard]] Samples wait_times() const;
-  /// Matchmaking hops of all matched jobs (the §3.3 "matchmaking cost");
-  /// batch mode only.
-  [[nodiscard]] Samples matchmaking_hops() const;
-  [[nodiscard]] Samples injection_hops() const;
-
-  // Streaming-safe summaries: O(1)-ish in streaming mode, computed from the
-  // record vector in batch mode. Same quantities as the Samples accessors.
-  [[nodiscard]] RunningStats wait_stats() const;
+  /// First-match hops of all matched jobs (the §3.3 "matchmaking cost").
   [[nodiscard]] RunningStats match_hops_stats() const;
+  /// Injection hops of all jobs that reached an owner; the last owner
+  /// event of a job counts.
   [[nodiscard]] RunningStats injection_hops_stats() const;
-  /// Fixed-bucket wait-time histogram (always defined; populated from the
-  /// stream or rebuilt from records).
-  [[nodiscard]] Histogram wait_histogram() const;
 
   /// Jobs executed per node — load-balance dispersion across the system.
   [[nodiscard]] RunningStats jobs_per_node() const;
@@ -146,46 +125,18 @@ class Collector {
   /// Completion makespan (latest completion time).
   [[nodiscard]] double makespan_sec() const noexcept { return makespan_sec_; }
 
-  /// Bytes behind job bookkeeping (record vector or in-flight table plus
-  /// per-node arrays); capacity snapshot for memory accounting.
+  /// Bytes behind job bookkeeping (record vector plus per-node arrays);
+  /// capacity snapshot for memory accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Render a one-line summary (used by benches for per-cell rows).
   [[nodiscard]] std::string summary() const;
 
-  /// Wait-histogram shape shared by both modes (seconds).
-  static constexpr double kWaitHistLo = 0.0;
-  static constexpr double kWaitHistHi = 3600.0;
-  static constexpr std::size_t kWaitHistBuckets = 240;
-
  private:
-  /// Streaming mode's per-job state between submission and completion.
-  /// Terminal quantities fold into the running statistics and the entry is
-  /// erased, so the table size follows the in-flight backlog, not the run
-  /// length.
-  struct InFlight {
-    double submit_sec = JobOutcome::kNever;
-    double owner_sec = JobOutcome::kNever;
-    int injection_hops = 0;
-    bool matched = false;
-    bool started = false;
-    bool unmatched = false;
-  };
-
-  bool streaming_ = false;
-  std::size_t job_count_ = 0;  // expected jobs (streaming mode's job_count())
-
-  // Batch storage.
   std::vector<JobOutcome> jobs_;
 
-  // Streaming storage.
-  std::unordered_map<std::uint64_t, InFlight> inflight_;
-  RunningStats wait_stats_;
-  Histogram wait_hist_{kWaitHistLo, kWaitHistHi, kWaitHistBuckets};
-  RunningStats match_hops_stats_;
-  RunningStats injection_hops_retired_;
-
-  // Maintained in both modes (identical dedup guards to the record path).
+  // Aggregates kept beside the records (each event's dedup guard lives on
+  // its record), so the counts are O(1) to read.
   std::size_t completed_n_ = 0;
   std::size_t started_n_ = 0;
   std::size_t unmatched_n_ = 0;

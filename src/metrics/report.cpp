@@ -3,21 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <utility>
+
+#include "common/output_file.h"
 
 namespace pgrid::metrics {
 
-namespace {
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f) std::fclose(f);
-  }
-};
-}  // namespace
-
 bool write_job_csv(const Collector& collector, const std::string& path) {
-  std::unique_ptr<std::FILE, FileCloser> f{std::fopen(path.c_str(), "w")};
-  if (!f) return false;
+  FilePtr f = open_for_write(path);
+  if (f == nullptr) return false;
   std::fprintf(f.get(),
                "seq,submit_sec,owner_sec,matched_sec,started_sec,"
                "completed_sec,wait_sec,injection_hops,match_hops,run_node,"
@@ -30,7 +24,7 @@ bool write_job_csv(const Collector& collector, const std::string& path) {
                  j.match_hops, j.run_node, j.resubmissions, j.requeues,
                  j.unmatched ? 1 : 0);
   }
-  return std::ferror(f.get()) == 0;
+  return close_checked(std::move(f), path);
 }
 
 std::string wait_histogram(const Collector& collector, std::size_t buckets) {

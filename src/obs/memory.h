@@ -24,7 +24,7 @@ enum class MemClass : std::uint8_t {
   kGridState,     // job queues, owned-job tables, client pending maps
   kRpcPending,    // RPC pending-call slabs and backoff sets
   kTraceRing,     // trace bus ring + actor names
-  kMetrics,       // collector, sampler rows, registry instruments
+  kMetrics,       // collector, sampler rows, registry gauges
   kCount_,        // sentinel
 };
 

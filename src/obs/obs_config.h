@@ -25,10 +25,9 @@ struct ObsConfig {
   /// <= 0 disables the sampler.
   double sample_period_sec = 0.0;
 
-  /// Replace the Collector's per-job record vector with streaming
-  /// aggregates (RunningStats + fixed-bucket histogram): million-job runs
-  /// hold O(buckets), not O(jobs). Per-job accessors (job(), wait_times())
-  /// are unavailable in this mode.
+  /// Retired: the Collector keeps per-job records only. Kept solely for
+  /// bench/e2e/gridbench.cpp, which assigns it false; GridSystem rejects
+  /// true.
   bool streaming_metrics = false;
 
   /// Output paths; empty means "do not write this artifact".

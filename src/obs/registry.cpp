@@ -1,128 +1,35 @@
 #include "obs/registry.h"
 
-#include <cstdio>
-#include <memory>
+#include <utility>
 
-#include "common/expects.h"
-#include "common/logging.h"
+#include "common/output_file.h"
 
 namespace pgrid::obs {
 
-double MetricsRegistry::Distribution::quantile(double q) const noexcept {
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const std::uint64_t total = hist_.total();
-  if (total == 0) return 0.0;
-  // Exact at the extremes (RunningStats tracks true min/max).
-  if (q == 0.0) return stats_.min();
-  if (q == 1.0) return stats_.max();
-  const double target = q * static_cast<double>(total);
-  double cum = static_cast<double>(hist_.underflow());
-  if (target <= cum) return stats_.min();
-  for (std::size_t i = 0; i < hist_.bucket_count(); ++i) {
-    const double in_bucket = static_cast<double>(hist_.bucket(i));
-    if (cum + in_bucket >= target && in_bucket > 0.0) {
-      const double frac = (target - cum) / in_bucket;
-      return hist_.bucket_lo(i) +
-             frac * (hist_.bucket_hi(i) - hist_.bucket_lo(i));
-    }
-    cum += in_bucket;
-  }
-  return stats_.max();  // in the overflow tail
-}
-
-MetricsRegistry::Instrument* MetricsRegistry::find(
-    const std::string& name) noexcept {
-  for (auto& in : instruments_) {
-    if (in->name == name) return in.get();
-  }
-  return nullptr;
-}
-
-MetricsRegistry::Counter& MetricsRegistry::counter(const std::string& name) {
-  if (Instrument* in = find(name); in != nullptr) {
-    PGRID_EXPECTS(in->kind == Kind::kCounter);
-    return *in->counter;
-  }
-  auto in = std::make_unique<Instrument>();
-  in->name = name;
-  in->kind = Kind::kCounter;
-  in->counter = std::make_unique<Counter>();
-  Counter& ref = *in->counter;
-  instruments_.push_back(std::move(in));
-  return ref;
-}
-
-MetricsRegistry::Distribution& MetricsRegistry::distribution(
-    const std::string& name, double lo, double hi, std::size_t buckets) {
-  if (Instrument* in = find(name); in != nullptr) {
-    PGRID_EXPECTS(in->kind == Kind::kDistribution);
-    return *in->dist;
-  }
-  auto in = std::make_unique<Instrument>();
-  in->name = name;
-  in->kind = Kind::kDistribution;
-  in->dist = std::make_unique<Distribution>(lo, hi, buckets);
-  Distribution& ref = *in->dist;
-  instruments_.push_back(std::move(in));
-  return ref;
-}
-
 void MetricsRegistry::gauge(const std::string& name, GaugeFn fn) {
-  if (Instrument* in = find(name); in != nullptr) {
-    PGRID_EXPECTS(in->kind == Kind::kGauge);
-    in->fn = std::move(fn);
-    return;
+  for (Gauge& g : gauges_) {
+    if (g.name == name) {
+      g.fn = std::move(fn);
+      return;
+    }
   }
-  auto in = std::make_unique<Instrument>();
-  in->name = name;
-  in->kind = Kind::kGauge;
-  in->fn = std::move(fn);
-  instruments_.push_back(std::move(in));
+  gauges_.push_back(Gauge{name, std::move(fn)});
 }
 
 bool MetricsRegistry::export_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    PGRID_ERROR("obs", "cannot open %s for writing", path.c_str());
-    return false;
+  FilePtr f = open_for_write(path);
+  if (f == nullptr) return false;
+  std::fputs("name,kind,count,value,mean,stdev,min,max,p50,p99\n", f.get());
+  for (const Gauge& g : gauges_) {
+    std::fprintf(f.get(), "%s,gauge,,%.17g,,,,,,\n", g.name.c_str(),
+                 g.fn ? g.fn() : 0.0);
   }
-  std::fputs("name,kind,count,value,mean,stdev,min,max,p50,p99\n", f);
-  for (const auto& in : instruments_) {
-    switch (in->kind) {
-      case Kind::kCounter:
-        std::fprintf(f, "%s,counter,,%llu,,,,,,\n", in->name.c_str(),
-                     static_cast<unsigned long long>(in->counter->value()));
-        break;
-      case Kind::kGauge:
-        std::fprintf(f, "%s,gauge,,%.17g,,,,,,\n", in->name.c_str(),
-                     in->fn ? in->fn() : 0.0);
-        break;
-      case Kind::kDistribution: {
-        const RunningStats& s = in->dist->stats();
-        std::fprintf(f, "%s,distribution,%zu,,%.17g,%.17g,%.17g,%.17g,"
-                     "%.17g,%.17g\n",
-                     in->name.c_str(), s.count(), s.mean(), s.stdev(),
-                     s.min(), s.max(), in->dist->quantile(0.5),
-                     in->dist->quantile(0.99));
-        break;
-      }
-    }
-  }
-  std::fclose(f);
-  return true;
+  return close_checked(std::move(f), path);
 }
 
 std::size_t MetricsRegistry::memory_bytes() const noexcept {
-  std::size_t bytes = instruments_.capacity() * sizeof(void*);
-  for (const auto& in : instruments_) {
-    bytes += sizeof(Instrument) + in->name.capacity();
-    if (in->counter != nullptr) bytes += sizeof(Counter);
-    if (in->dist != nullptr) {
-      bytes += sizeof(Distribution) +
-               in->dist->histogram().bucket_count() * sizeof(std::uint64_t);
-    }
-  }
+  std::size_t bytes = gauges_.capacity() * sizeof(Gauge);
+  for (const Gauge& g : gauges_) bytes += g.name.capacity();
   return bytes;
 }
 

@@ -1,22 +1,12 @@
 #pragma once
-// Streaming metrics registry: labeled counters, gauges, and fixed-bucket
-// histograms, registered once per subsystem and snapshotted by the
-// TimeSeriesSampler (DESIGN.md §14).
-//
-// Instruments are cheap value cells built on common/stats primitives — no
-// maps or allocation on the observation path. Registration (rare, build
-// time) is a linear name lookup; observation is an inline add. The registry
-// owns its instruments behind stable pointers, so subsystems keep a raw
-// Counter*/Histogram* and never touch the registry again.
+// Metrics registry: a table of named callback gauges, registered once per
+// subsystem at build time and read by the TimeSeriesSampler (one column per
+// gauge) and by the final CSV snapshot (DESIGN.md §14).
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "common/stats.h"
 
 namespace pgrid::obs {
 
@@ -24,81 +14,33 @@ class MetricsRegistry {
  public:
   using GaugeFn = std::function<double()>;
 
-  /// Monotone counter (events, bytes, drops). Sampled as a per-second rate
-  /// by the TimeSeriesSampler and as a total in the final snapshot.
-  class Counter {
-   public:
-    void inc(std::uint64_t n = 1) noexcept { value_ += n; }
-    [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
-   private:
-    std::uint64_t value_ = 0;
-  };
-
-  /// Streaming distribution: Welford stats plus a fixed-width histogram.
-  /// O(buckets) memory regardless of observation count.
-  class Distribution {
-   public:
-    Distribution(double lo, double hi, std::size_t buckets)
-        : hist_(lo, hi, buckets) {}
-
-    void observe(double x) noexcept {
-      stats_.add(x);
-      hist_.add(x);
-    }
-    [[nodiscard]] const RunningStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] const Histogram& histogram() const noexcept { return hist_; }
-    /// Quantile estimate by linear interpolation within the owning bucket.
-    [[nodiscard]] double quantile(double q) const noexcept;
-
-   private:
-    RunningStats stats_;
-    Histogram hist_;
-  };
-
-  enum class Kind : std::uint8_t { kCounter, kGauge, kDistribution };
-
-  /// Find-or-create by name. Names are hierarchical by convention
-  /// ("pool/fresh", "mem/event_pool"); re-registering an existing name
-  /// returns the same instrument (lo/hi/buckets of the first call win).
-  Counter& counter(const std::string& name);
-  Distribution& distribution(const std::string& name, double lo, double hi,
-                             std::size_t buckets);
-  /// Callback gauge (sampled at snapshot time). Re-registering replaces fn.
+  /// Register a gauge, sampled at snapshot time. Names are hierarchical by
+  /// convention ("pool/fresh_total", "mem/event_pool"); re-registering a
+  /// name replaces its function and keeps its position.
   void gauge(const std::string& name, GaugeFn fn);
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return instruments_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return gauges_.size(); }
 
-  /// Visit every instrument in registration order.
-  /// fn(name, kind, counter_or_null, gauge_value_fn_or_null, dist_or_null).
+  /// Visit every gauge in registration order: fn(name, gauge_fn).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& in : instruments_) {
-      fn(in->name, in->kind, in->counter.get(), in->fn, in->dist.get());
-    }
+    for (const Gauge& g : gauges_) fn(g.name, g.fn);
   }
 
-  /// Final snapshot as CSV: name,kind,count,value,mean,stdev,min,max,p50,p99.
-  /// Counters put their total in `value`; gauges their sampled value;
-  /// distributions fill the statistics columns.
+  /// Final snapshot as CSV: name,kind,count,value,mean,stdev,min,max,p50,p99
+  /// with one `gauge` row per gauge, its sampled value in `value`. Returns
+  /// false (and logs) on I/O failure.
   bool export_csv(const std::string& path) const;
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct Instrument {
+  struct Gauge {
     std::string name;
-    Kind kind;
-    std::unique_ptr<Counter> counter;
     GaugeFn fn;
-    std::unique_ptr<Distribution> dist;
   };
 
-  Instrument* find(const std::string& name) noexcept;
-
-  std::vector<std::unique_ptr<Instrument>> instruments_;
+  std::vector<Gauge> gauges_;
 };
 
 }  // namespace pgrid::obs

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/expects.h"
-#include "common/logging.h"
+#include "common/output_file.h"
 
 namespace pgrid::obs {
 
@@ -27,26 +27,9 @@ void TimeSeriesSampler::add_rate(std::string name, GaugeFn counter_fn) {
 }
 
 void TimeSeriesSampler::add_registry(const MetricsRegistry& registry) {
-  registry.for_each([this](const std::string& name, MetricsRegistry::Kind kind,
-                           const MetricsRegistry::Counter* counter,
-                           const MetricsRegistry::GaugeFn& fn,
-                           const MetricsRegistry::Distribution* dist) {
-    switch (kind) {
-      case MetricsRegistry::Kind::kCounter:
-        add_rate(name + "_per_sec", [counter] {
-          return static_cast<double>(counter->value());
-        });
-        break;
-      case MetricsRegistry::Kind::kGauge:
-        add_gauge(name, fn);
-        break;
-      case MetricsRegistry::Kind::kDistribution:
-        add_gauge(name + ".mean", [dist] { return dist->stats().mean(); });
-        add_rate(name + ".count_per_sec", [dist] {
-          return static_cast<double>(dist->stats().count());
-        });
-        break;
-    }
+  registry.for_each([this](const std::string& name,
+                           const MetricsRegistry::GaugeFn& fn) {
+    add_gauge(name, fn);
   });
 }
 
@@ -76,23 +59,19 @@ void TimeSeriesSampler::sample_once() {
 }
 
 bool TimeSeriesSampler::export_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    PGRID_ERROR("obs", "cannot open %s for writing", path.c_str());
-    return false;
-  }
-  std::fputs("t_sec", f);
-  for (const Column& c : columns_) std::fprintf(f, ",%s", c.name.c_str());
-  std::fputc('\n', f);
+  FilePtr f = open_for_write(path);
+  if (f == nullptr) return false;
+  std::fputs("t_sec", f.get());
+  for (const Column& c : columns_) std::fprintf(f.get(), ",%s", c.name.c_str());
+  std::fputc('\n', f.get());
   for (std::size_t row = 0; row < row_count(); ++row) {
-    std::fprintf(f, "%.6f", times_sec_[row]);
+    std::fprintf(f.get(), "%.6f", times_sec_[row]);
     for (std::size_t col = 0; col < columns_.size(); ++col) {
-      std::fprintf(f, ",%.17g", value(row, col));
+      std::fprintf(f.get(), ",%.17g", value(row, col));
     }
-    std::fputc('\n', f);
+    std::fputc('\n', f.get());
   }
-  std::fclose(f);
-  return true;
+  return close_checked(std::move(f), path);
 }
 
 }  // namespace pgrid::obs

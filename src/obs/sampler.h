@@ -28,10 +28,8 @@ class TimeSeriesSampler {
   void add_gauge(std::string name, GaugeFn fn);
   void add_rate(std::string name, GaugeFn counter_fn);
 
-  /// Register every instrument of `registry` as columns: counters become
-  /// per-second rate columns, gauges become gauge columns, distributions
-  /// contribute "<name>.mean" and "<name>.count_per_sec". The registry must
-  /// outlive the sampler.
+  /// Register every gauge of `registry` as a gauge column. The registry
+  /// must outlive the sampler.
   void add_registry(const MetricsRegistry& registry);
 
   /// Begin sampling: one row immediately, then one per period.
@@ -55,6 +53,7 @@ class TimeSeriesSampler {
     return data_[row * columns_.size() + col];
   }
 
+  /// Returns false (and logs) on I/O failure.
   bool export_csv(const std::string& path) const;
 
   /// Bytes held by the sample matrix and column table (memory accounting).

@@ -2,11 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/expects.h"
-#include "common/logging.h"
+#include "common/output_file.h"
 
 namespace pgrid::obs {
 
@@ -65,21 +65,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-FilePtr open_for_write(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
-    PGRID_ERROR("obs", "cannot open %s for writing", path.c_str());
-  }
-  return f;
 }
 
 /// Human-readable name for a span's message tag, so Perfetto slices read
@@ -203,7 +188,7 @@ bool TraceBus::export_jsonl(const std::string& path) const {
                "{\"summary\":true,\"recorded\":%" PRIu64
                ",\"retained\":%zu,\"dropped\":%" PRIu64 "}\n",
                total_, size_, dropped());
-  return true;
+  return close_checked(std::move(f), path);
 }
 
 bool TraceBus::export_chrome_trace(const std::string& path) const {
@@ -316,7 +301,7 @@ bool TraceBus::export_chrome_trace(const std::string& path) const {
                "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
                "\"dropped_events\":%" PRIu64 "}}\n",
                dropped());
-  return true;
+  return close_checked(std::move(f), path);
 }
 
 }  // namespace pgrid::obs

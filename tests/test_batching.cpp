@@ -187,8 +187,7 @@ RunOutcome run_once(MatchmakerKind kind) {
   for (std::uint64_t j = 0; j < 96; ++j) {
     if (c.job(j).completed()) out.completed.push_back(j);
   }
-  const RunningStats waits = c.wait_stats();
-  out.wait_avg = waits.count() > 0 ? waits.mean() : 0.0;
+  out.wait_avg = c.wait_times().mean();
   out.messages_sent = system.net_stats().messages_sent;
   out.batches_sent = system.net_stats().batches_sent;
   out.batch_parts_sent = system.net_stats().batch_parts_sent;

@@ -171,22 +171,24 @@ TEST(GridLifecycle, NodeStatsAccumulate) {
 TEST(GridLifecycle, CollectorNodeCountsMatchNodeStats) {
   for (const MatchmakerKind kind :
        {MatchmakerKind::kRnTree, MatchmakerKind::kCanPush}) {
-    for (const bool streaming : {false, true}) {
-      GridConfig config = base_config(kind);
-      config.obs.streaming_metrics = streaming;
-      GridSystem system(config, tiny_workload());
-      system.run();
-      ASSERT_TRUE(system.finished()) << matchmaker_name(kind);
-      const std::vector<std::uint32_t>& counts =
-          system.collector().node_jobs();
-      ASSERT_EQ(counts.size(), system.node_count());
-      for (std::size_t i = 0; i < system.node_count(); ++i) {
-        EXPECT_EQ(counts[i], system.node(i).stats().jobs_executed)
-            << matchmaker_name(kind) << " streaming=" << streaming
-            << " node " << i;
-      }
+    GridSystem system(base_config(kind), tiny_workload());
+    system.run();
+    ASSERT_TRUE(system.finished()) << matchmaker_name(kind);
+    const std::vector<std::uint32_t>& counts = system.collector().node_jobs();
+    ASSERT_EQ(counts.size(), system.node_count());
+    for (std::size_t i = 0; i < system.node_count(); ++i) {
+      EXPECT_EQ(counts[i], system.node(i).stats().jobs_executed)
+          << matchmaker_name(kind) << " node " << i;
     }
   }
+}
+
+// The retired streaming collector is refused rather than silently replaced
+// by per-job records.
+TEST(GridLifecycle, StreamingMetricsRequestIsRejected) {
+  GridConfig config = base_config(MatchmakerKind::kRnTree);
+  config.obs.streaming_metrics = true;
+  EXPECT_DEATH(GridSystem(config, tiny_workload()), "streaming_metrics");
 }
 
 TEST(GridLifecycle, NetworkTrafficIsAccounted) {
@@ -202,12 +204,12 @@ TEST(GridLifecycle, InjectionHopsRecordedForOverlayKinds) {
   rn.run();
   ASSERT_TRUE(rn.finished());
   // RN injection = Chord lookup + random walk: some jobs must have hops.
-  EXPECT_GT(rn.collector().injection_hops().mean(), 0.5);
+  EXPECT_GT(rn.collector().injection_hops_stats().mean(), 0.5);
 
   GridSystem central(base_config(MatchmakerKind::kCentralized),
                      tiny_workload());
   central.run();
-  EXPECT_DOUBLE_EQ(central.collector().injection_hops().mean(), 0.0);
+  EXPECT_DOUBLE_EQ(central.collector().injection_hops_stats().mean(), 0.0);
 }
 
 }  // namespace

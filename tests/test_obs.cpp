@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -321,6 +322,33 @@ TEST(GridObservability, UntracedRunHasNoBus) {
   system.run();
   EXPECT_EQ(system.trace_bus(), nullptr);
   EXPECT_EQ(system.sampler(), nullptr);
+}
+
+// Every exporter reports a failed write, including files small enough to
+// sit in the stdio buffer until the close: /dev/full accepts the open and
+// fails the flush.
+TEST(Exporters, ReportFailedWrites) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no " << full;
+  sim::Simulator simulator;
+  TraceBus bus(simulator, 8);
+  bus.record(EventKind::kJobSubmit, 0, kNoActor, 0, 1);
+  EXPECT_FALSE(bus.export_jsonl(full));
+  EXPECT_FALSE(bus.export_chrome_trace(full));
+
+  TimeSeriesSampler sampler(simulator, SimTime::seconds(1.0));
+  sampler.add_gauge("ones", [] { return 1.0; });
+  sampler.start();
+  simulator.run_until(SimTime::seconds(1.0));
+  EXPECT_FALSE(sampler.export_csv(full));
+
+  MetricsRegistry registry;
+  registry.gauge("depth", [] { return 1.0; });
+  EXPECT_FALSE(registry.export_csv(full));
+
+  metrics::Collector collector(1, 1);  // a one-job CSV
+  collector.on_submit(0, SimTime::seconds(0.0));
+  EXPECT_FALSE(metrics::write_job_csv(collector, full));
 }
 
 }  // namespace

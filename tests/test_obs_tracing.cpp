@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "can/messages.h"
@@ -297,37 +298,24 @@ TEST(CausalTracing, SamplingDoesNotPerturbSimulation) {
 
 TEST(MetricsRegistry, FindOrCreateReturnsStableInstruments) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter& c1 = registry.counter("pool/fresh");
-  MetricsRegistry::Counter& c2 = registry.counter("pool/fresh");
-  EXPECT_EQ(&c1, &c2);
-  c1.inc(3);
-  c2.inc();
-  EXPECT_EQ(c1.value(), 4u);
-
-  auto& d1 = registry.distribution("wait", 0.0, 100.0, 10);
-  auto& d2 = registry.distribution("wait", 0.0, 50.0, 5);  // first call wins
-  EXPECT_EQ(&d1, &d2);
+  registry.gauge("pool/fresh_total", [] { return 1.0; });
   registry.gauge("depth", [] { return 7.0; });
-  EXPECT_EQ(registry.size(), 3u);
-}
-
-TEST(MetricsRegistry, DistributionQuantileInterpolates) {
-  MetricsRegistry registry;
-  auto& d = registry.distribution("wait", 0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) d.observe(static_cast<double>(i) + 0.5);
-  EXPECT_EQ(d.stats().count(), 100u);
-  EXPECT_NEAR(d.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(d.quantile(0.99), 99.0, 1.5);
-  EXPECT_NEAR(d.quantile(0.0), 0.0, 1.5);
+  registry.gauge("pool/fresh_total", [] { return 2.0; });  // replaces fn
+  EXPECT_EQ(registry.size(), 2u);
+  std::vector<std::pair<std::string, double>> seen;
+  registry.for_each([&seen](const std::string& name,
+                            const MetricsRegistry::GaugeFn& fn) {
+    seen.emplace_back(name, fn());
+  });
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"pool/fresh_total", 2.0}, {"depth", 7.0}};
+  EXPECT_EQ(seen, expected);  // registration order, latest function
 }
 
 TEST(MetricsRegistry, CsvSnapshotHasOneRowPerInstrument) {
   MetricsRegistry registry;
-  registry.counter("jobs/completed").inc(42);
+  registry.gauge("jobs/completed", [] { return 42.0; });
   registry.gauge("queue/depth", [] { return 3.5; });
-  auto& d = registry.distribution("wait", 0.0, 10.0, 10);
-  d.observe(1.0);
-  d.observe(2.0);
 
   const std::string path = testing::TempDir() + "/p2pgrid_metrics.csv";
   ASSERT_TRUE(registry.export_csv(path));
@@ -336,12 +324,11 @@ TEST(MetricsRegistry, CsvSnapshotHasOneRowPerInstrument) {
   std::vector<std::string> lines;
   while (std::getline(in, line)) lines.push_back(line);
   std::remove(path.c_str());
-  ASSERT_EQ(lines.size(), 4u);  // header + 3 instruments
-  EXPECT_NE(lines[0].find("name,kind"), std::string::npos);
-  EXPECT_NE(lines[1].find("jobs/completed,counter,"), std::string::npos);
-  EXPECT_NE(lines[1].find("42"), std::string::npos);
-  EXPECT_NE(lines[2].find("queue/depth,gauge,"), std::string::npos);
-  EXPECT_NE(lines[3].find("wait,distribution,"), std::string::npos);
+  const std::vector<std::string> expected = {
+      "name,kind,count,value,mean,stdev,min,max,p50,p99",
+      "jobs/completed,gauge,,42,,,,,,",
+      "queue/depth,gauge,,3.5,,,,,,"};
+  EXPECT_EQ(lines, expected);  // header + one row per gauge
 }
 
 // --- memory accounting -----------------------------------------------------

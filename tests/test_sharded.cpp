@@ -299,8 +299,8 @@ TEST(ShardedGrid, FixedSeedOutcomesIdenticalAcrossShardCounts) {
                             w.jobs.size(), label);
       EXPECT_DOUBLE_EQ(reference.collector().makespan_sec(),
                        system.collector().makespan_sec());
-      EXPECT_DOUBLE_EQ(reference.collector().wait_stats().mean(),
-                       system.collector().wait_stats().mean());
+      EXPECT_DOUBLE_EQ(reference.collector().wait_times().mean(),
+                       system.collector().wait_times().mean());
       EXPECT_EQ(reference.collector().node_jobs(),
                 system.collector().node_jobs());
     }
