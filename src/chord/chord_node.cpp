@@ -95,6 +95,7 @@ void ChordNode::install_state(Peer predecessor, std::vector<Peer> successor_list
   successors_ = std::move(successor_list);
   fingers_ = fingers;
   rebuild_route_scan();
+  seed_predecessor_detector();
   PGRID_EXPECTS(!successors_.empty());
   start_maintenance();
 }
@@ -110,9 +111,10 @@ void ChordNode::start_maintenance() {
 }
 
 void ChordNode::do_maintenance_round() {
-  // The stabilize probe, the finger lookups' first hops and the predecessor
-  // ping that target the same peer (typically the successor) share one
-  // wire message.
+  // The stabilize probe (which also notifies the successor) and the finger
+  // lookups' first hops that target the same peer share one wire message.
+  // In a steady ring that is the whole round: the predecessor is probed
+  // only once its detector turns suspect.
   const net::BatchScope batch(net_, addr());
   do_stabilize();
   for (int i = 0; i < kFingerFixesPerRound; ++i) do_fix_fingers();
@@ -296,7 +298,7 @@ bool ChordNode::handle(net::NodeAddr from, net::MessagePtr& msg) {
       on_stabilize(from, *net::msg_cast<StabilizeReq>(msg.get()));
       return true;
     case kNotify:
-      on_notify(*net::msg_cast<Notify>(msg.get()));
+      consider_predecessor(net::msg_cast<Notify>(msg.get())->peer);
       return true;
     case kPingReq:
       on_ping(from, *net::msg_cast<PingReq>(msg.get()));
@@ -323,17 +325,21 @@ void ChordNode::on_next_hop(net::NodeAddr from, const NextHopReq& req) {
 }
 
 void ChordNode::on_stabilize(net::NodeAddr from, const StabilizeReq& req) {
+  // The request is also notify(sender). Applying it first lets the reply
+  // name the sender as predecessor, which the sender then keeps as head.
+  if (req.sender.addr == from) consider_predecessor(req.sender);
   rpc_.reply(from, req,
              std::make_unique<StabilizeResp>(predecessor_, successors_));
 }
 
-void ChordNode::on_notify(const Notify& msg) {
-  if (!msg.peer.valid() || msg.peer.addr == addr()) return;
-  if (!predecessor_.valid() ||
-      in_interval_oo(msg.peer.id, predecessor_.id, id_)) {
-    predecessor_ = msg.peer;
-    rebuild_route_scan();
+void ChordNode::consider_predecessor(Peer cand) {
+  if (!cand.valid() || cand.addr == addr()) return;
+  if (predecessor_.valid() && !in_interval_oo(cand.id, predecessor_.id, id_)) {
+    return;
   }
+  predecessor_ = cand;
+  rebuild_route_scan();
+  seed_predecessor_detector();
 }
 
 void ChordNode::on_ping(net::NodeAddr from, const PingReq& req) {
@@ -356,7 +362,10 @@ void ChordNode::do_stabilize() {
     }
     return;
   }
-  rpc_.call_retry(succ.addr, [] { return std::make_unique<StabilizeReq>(); },
+  rpc_.call_retry(succ.addr,
+                  [self = self_peer()] {
+                    return std::make_unique<StabilizeReq>(self);
+                  },
                   config_.rpc_timeout, config_.rpc_attempts,
                   [this, succ](net::MessagePtr reply) {
               if (!running_) return;
@@ -381,15 +390,21 @@ void ChordNode::do_stabilize() {
                 return;
               }
               const auto* resp = net::msg_cast<StabilizeResp>(reply.get());
-              Peer head = succ;
               const Peer cand = resp->predecessor;
-              if (cand.valid() && cand.addr != addr() &&
-                  in_interval_oo(cand.id, id_, succ.id)) {
-                head = cand;  // a closer successor slipped in between
+              if (!cand.valid() || cand.addr == addr() ||
+                  !in_interval_oo(cand.id, id_, succ.id)) {
+                adopt_successor_list(succ, resp->successors);
+                return;  // the request already notified succ
               }
-              adopt_successor_list(head, resp->successors);
-              rpc_.send(successor().addr,
-                        std::make_unique<Notify>(self_peer()));
+              // A closer successor slipped in between. succ stays right
+              // behind it, and only the new head has not heard from us.
+              std::vector<Peer> tail;
+              tail.reserve(resp->successors.size() + 1);
+              tail.push_back(succ);
+              tail.insert(tail.end(), resp->successors.begin(),
+                          resp->successors.end());
+              adopt_successor_list(cand, tail);
+              rpc_.send(cand.addr, std::make_unique<Notify>(self_peer()));
             });
 }
 
@@ -430,6 +445,14 @@ void ChordNode::do_check_predecessor() {
                     obs::kNoActor, 3);
   if (!predecessor_.valid()) return;
   const Peer pred = predecessor_;
+  // A live predecessor proves itself every round with its own StabilizeReq;
+  // probe it only once that stream has gone quiet enough to suspect.
+  if (const auto it = detectors_.find(pred.addr);
+      it != detectors_.end() && it->second.seen() &&
+      !it->second.suspect(net_.simulator().now(),
+                          predecessor_suspect_deadline())) {
+    return;
+  }
   rpc_.call_retry(pred.addr, [] { return std::make_unique<PingReq>(); },
                   config_.rpc_timeout, config_.rpc_attempts,
                   [this, pred](net::MessagePtr reply) {
@@ -443,6 +466,7 @@ void ChordNode::do_check_predecessor() {
                   return;
                 }
                 predecessor_ = kNoPeer;
+                ++stats_.predecessor_clears;
                 rebuild_route_scan();
               }
             });
@@ -461,7 +485,10 @@ void ChordNode::remove_failed(Peer peer) {
   for (auto& f : fingers_) {
     if (f == peer) f = kNoPeer;
   }
-  if (predecessor_ == peer) predecessor_ = kNoPeer;
+  if (predecessor_ == peer) {
+    predecessor_ = kNoPeer;
+    ++stats_.predecessor_clears;
+  }
   rebuild_route_scan();
 }
 
@@ -526,6 +553,25 @@ void ChordNode::note_alive(net::NodeAddr from) {
   detectors_.emplace(from, det);
 }
 
+void ChordNode::seed_predecessor_detector() {
+  if (!predecessor_.valid() || predecessor_.addr == addr()) return;
+  // An existing detector already holds this peer's history (handle() has
+  // fed it the message that installed the peer); a heartbeat here would
+  // add a zero gap.
+  if (detectors_.find(predecessor_.addr) != detectors_.end()) return;
+  PhiDetector det;
+  det.heartbeat(net_.simulator().now());
+  detectors_.emplace(predecessor_.addr, det);
+}
+
+sim::SimTime ChordNode::predecessor_suspect_deadline() const {
+  // Two quiet rounds plus one failed RPC: the suspect level, 2/3 of this,
+  // stays above one stabilize period at any period, so a young
+  // predecessor's normal gap is never mistaken for silence.
+  return config_.stabilize_period * 2 +
+         config_.rpc_timeout * config_.rpc_attempts;
+}
+
 bool ChordNode::phi_allows_evict(net::NodeAddr peer) const {
   const auto it = detectors_.find(peer);
   // No arrival history to judge by: a timed-out RPC condemns the peer, so a
@@ -540,8 +586,10 @@ void ChordNode::refresh_successor_tail() {
   const Peer head = successors_.front();
   const Peer backup = successors_[1];
   if (!backup.valid() || backup.addr == addr()) return;
+  // A read-only pull: this node is not backup's predecessor, so the
+  // request offers no notify.
   rpc_.call_retry(
-      backup.addr, [] { return std::make_unique<StabilizeReq>(); },
+      backup.addr, [] { return std::make_unique<StabilizeReq>(kNoPeer); },
       config_.rpc_timeout, 1, [this, head, backup](net::MessagePtr reply) {
         if (!running_ || reply == nullptr) return;
         // Only apply if the suspected head is still in place: an eviction

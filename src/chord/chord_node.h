@@ -6,7 +6,10 @@
 // Iterative lookups (the initiator drives hop-by-hop), successor lists for
 // failure resilience, and the standard stabilize / fix-fingers / check-
 // predecessor maintenance, run as one batched round per stabilize period
-// and driven by the discrete-event simulator.
+// and driven by the discrete-event simulator. The round is lean: the
+// StabilizeReq carries the notify, and the predecessor is pinged only when
+// its φ detector has gone suspect, so a steady round sends a StabilizeReq
+// and receives its reply (plus the finger fixes' lookup hops).
 //
 // A ChordNode does not register itself on the network: its owner (a test
 // host or a grid node that stacks more protocols on the same address)
@@ -32,8 +35,9 @@
 namespace pgrid::chord {
 
 struct ChordConfig {
-  /// Period of the maintenance round: stabilize, kFingerFixesPerRound
-  /// finger fixes and a predecessor check.
+  /// Period of the maintenance round: stabilize (carrying the notify),
+  /// kFingerFixesPerRound finger fixes and a predecessor check that pings
+  /// only a suspect predecessor.
   sim::SimTime stabilize_period = sim::SimTime::seconds(1.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   /// Transmissions per RPC before the call fails (retransmission keeps one
@@ -56,6 +60,7 @@ struct ChordStats {
   std::uint64_t suspicions = 0;      // φ: timeouts downgraded to suspicion
   std::uint64_t evictions = 0;       // remove_failed invocations
   std::uint64_t succ_refreshes = 0;  // suspicion-triggered tail refreshes
+  std::uint64_t predecessor_clears = 0;  // a valid predecessor was dropped
 };
 
 class ChordNode {
@@ -141,8 +146,11 @@ class ChordNode {
   // --- message handlers -----------------------------------------------
   void on_next_hop(net::NodeAddr from, const NextHopReq& req);
   void on_stabilize(net::NodeAddr from, const StabilizeReq& req);
-  void on_notify(const Notify& msg);
   void on_ping(net::NodeAddr from, const PingReq& req);
+  /// The notify rule, for a Notify and for the notify a StabilizeReq
+  /// carries: adopt `cand` as predecessor if there is none or it lies
+  /// between the current one and this node.
+  void consider_predecessor(Peer cand);
 
   // --- lookup machinery -------------------------------------------------
   struct LookupState {
@@ -167,8 +175,13 @@ class ChordNode {
   /// One maintenance round in one batch scope, so the probes that target
   /// the same peer (usually the successor) share a wire message.
   void do_maintenance_round();
+  /// StabilizeReq to the successor, which also notifies it; an explicit
+  /// Notify follows only when the reply reveals a closer successor.
   void do_stabilize();
   void do_fix_fingers();
+  /// Ping the predecessor only when its detector is suspect (a live one
+  /// is heard every round through its StabilizeReq); clear it when the
+  /// ping fails and φ allows eviction.
   void do_check_predecessor();
   void adopt_successor_list(Peer head, const std::vector<Peer>& tail);
   void remove_failed(Peer peer);
@@ -189,6 +202,13 @@ class ChordNode {
   /// True when the detector agrees the peer may be evicted, or when there
   /// is no arrival history to judge by (a timed-out RPC then condemns it).
   [[nodiscard]] bool phi_allows_evict(net::NodeAddr peer) const;
+  /// Give a newly installed predecessor a detector with one arrival, so
+  /// the suspect check judges it from now on (a detector that has seen
+  /// nothing never turns suspect).
+  void seed_predecessor_detector();
+  /// Cold-start deadline of the predecessor's suspect check:
+  /// 2 × stabilize_period + rpc_timeout × rpc_attempts.
+  [[nodiscard]] sim::SimTime predecessor_suspect_deadline() const;
   /// Suspicion action: rebuild the successor-list tail behind the (kept)
   /// head from the first live backup's fresh view of the ring.
   void refresh_successor_tail();

@@ -55,10 +55,19 @@ struct NextHopResp final : net::Message {
 };
 
 /// Stabilize: fetch the successor's predecessor and successor list in one
-/// round trip (the classic get-predecessor plus successor-list pull).
+/// round trip (the classic get-predecessor plus successor-list pull). It
+/// also carries notify(sender): the receiver applies the notify rule to
+/// `sender` before it replies, so a round that keeps its successor needs no
+/// separate Notify. `sender` is kNoPeer on a read-only pull (the successor-
+/// tail refresh), and is ignored unless it names the transport sender.
 struct StabilizeReq final : net::Message {
   static constexpr std::uint16_t kType = kStabilizeReq;
-  StabilizeReq() : Message(kType) {}
+
+  explicit StabilizeReq(Peer s) : Message(kType), sender(s) {}
+
+  Peer sender;
+
+  [[nodiscard]] std::size_t payload_size() const noexcept override { return 12; }
   PGRID_MESSAGE_CLONE(StabilizeReq)
 };
 
@@ -77,7 +86,9 @@ struct StabilizeResp final : net::Message {
   PGRID_MESSAGE_CLONE(StabilizeResp)
 };
 
-/// notify(n'): "I believe I might be your predecessor."
+/// notify(n'): "I believe I might be your predecessor." Sent on its own
+/// only when the StabilizeReq cannot carry it: on join, when stabilize
+/// adopts a new successor, and to a revived peer.
 struct Notify final : net::Message {
   static constexpr std::uint16_t kType = kNotify;
 

@@ -53,7 +53,15 @@ std::vector<std::size_t> sorted_order(const std::vector<ChordNode*>& nodes) {
 
 }  // namespace
 
-void wire_ring_instantly(const std::vector<ChordNode*>& nodes) {
+Peer ring_successor(const std::vector<Peer>& sorted, Guid key) {
+  PGRID_EXPECTS(!sorted.empty());
+  const auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), key,
+      [](const Peer& p, Guid k) { return p.id < k; });
+  return it == sorted.end() ? sorted.front() : *it;
+}
+
+std::vector<Peer> wire_ring_instantly(const std::vector<ChordNode*>& nodes) {
   PGRID_EXPECTS(!nodes.empty());
   const std::size_t n = nodes.size();
   const std::vector<std::size_t> order = sorted_order(nodes);
@@ -115,12 +123,12 @@ void wire_ring_instantly(const std::vector<ChordNode*>& nodes) {
     }
     node.install_state(pred, std::move(succs), fingers);
   }
+  return ring;
 }
 
 void ChordRing::ensure_live_index() const {
   if (!live_dirty_) return;
   live_hosts_.clear();
-  live_ids_.clear();
   live_peers_.clear();
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     if (alive_[i]) live_hosts_.push_back(i);
@@ -132,10 +140,8 @@ void ChordRing::ensure_live_index() const {
                        static_cast<std::uint32_t>(i));
   }
   std::sort(keyed.begin(), keyed.end());
-  live_ids_.reserve(keyed.size());
   live_peers_.reserve(keyed.size());
   for (const auto& [id, i] : keyed) {
-    live_ids_.push_back(Guid{id});
     live_peers_.push_back(Peer{hosts_[i]->addr(), Guid{id}});
   }
   live_dirty_ = false;
@@ -151,11 +157,7 @@ void ChordRing::wire_instantly() {
 
 Peer ChordRing::oracle_successor(Guid key) const {
   ensure_live_index();
-  if (live_ids_.empty()) return kNoPeer;
-  const auto it = std::lower_bound(live_ids_.begin(), live_ids_.end(), key);
-  return live_peers_[it == live_ids_.end()
-                         ? 0
-                         : static_cast<std::size_t>(it - live_ids_.begin())];
+  return live_peers_.empty() ? kNoPeer : ring_successor(live_peers_, key);
 }
 
 void ChordRing::crash(std::size_t index) {

@@ -40,8 +40,13 @@ class ChordHost final : public net::MessageHandler {
 /// are neighbors in ring order. Per node, every finger bit whose span fits
 /// inside the gap to the next node is the immediate successor (all but
 /// ~log2(N) of 64 bits); the rest resolve via monotone-floor binary
-/// searches. O(N log N) sort + O(N · (64 + log²N)).
-void wire_ring_instantly(const std::vector<ChordNode*>& nodes);
+/// searches. O(N log N) sort + O(N · (64 + log²N)). Returns the ring in
+/// GUID order, for ring_successor queries over the wired membership.
+std::vector<Peer> wire_ring_instantly(const std::vector<ChordNode*>& nodes);
+
+/// successor(key) on a non-empty ring in GUID order (as
+/// wire_ring_instantly returns it): one binary search.
+[[nodiscard]] Peer ring_successor(const std::vector<Peer>& sorted, Guid key);
 
 /// Ground-truth successor among the given nodes (O(N) scan).
 [[nodiscard]] Peer ring_oracle_successor(
@@ -92,8 +97,7 @@ class ChordRing {
   // after any membership change.
   mutable bool live_dirty_ = true;
   mutable std::vector<std::size_t> live_hosts_;
-  mutable std::vector<Guid> live_ids_;    // sorted
-  mutable std::vector<Peer> live_peers_;  // aligned with live_ids_
+  mutable std::vector<Peer> live_peers_;  // sorted by GUID
 };
 
 }  // namespace pgrid::chord

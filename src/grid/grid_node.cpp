@@ -306,6 +306,13 @@ std::vector<std::uint64_t> GridNode::queued_seqs() const {
   return out;
 }
 
+std::vector<Peer> GridNode::queued_owners() const {
+  std::vector<Peer> out;
+  out.reserve(queue_.size());
+  for (const QueuedJob& q : queue_) out.push_back(q.owner);
+  return out;
+}
+
 // --- CAN matchmaking helpers ---------------------------------------------------
 
 std::vector<std::pair<Peer, double>> GridNode::can_candidates(

@@ -149,6 +149,9 @@ class GridNode final : public net::MessageHandler {
   [[nodiscard]] std::vector<std::uint64_t> owned_seqs() const;
   /// Sequence numbers of jobs in this node's run queue.
   [[nodiscard]] std::vector<std::uint64_t> queued_seqs() const;
+  /// Owner of each job in this node's run queue, in queue order: the peers
+  /// this node monitors as a run node.
+  [[nodiscard]] std::vector<Peer> queued_owners() const;
 
   [[nodiscard]] chord::ChordNode* chord() noexcept { return chord_.get(); }
   [[nodiscard]] can::CanNode* can() noexcept { return can_.get(); }

@@ -234,7 +234,15 @@ void GridSystem::populate(const GridNodeConfig& node_config,
     std::vector<chord::ChordNode*> ring;
     ring.reserve(nodes_.size());
     for (auto& n : nodes_) ring.push_back(n->chord());
-    chord::wire_ring_instantly(ring);
+    const std::vector<chord::Peer> sorted = chord::wire_ring_instantly(ring);
+    // Each RN-tree parent is known once the ring is: install it, so the
+    // first aggregation round pushes instead of looking the parent up.
+    for (auto& n : nodes_) {
+      rntree::RnTreeService* rn = n->rntree();
+      if (rn != nullptr && !rn->is_root()) {
+        rn->install_parent(chord::ring_successor(sorted, rn->parent_key()));
+      }
+    }
   } else if (uses_can(config_.kind)) {
     std::vector<can::CanNode*> space;
     space.reserve(nodes_.size());

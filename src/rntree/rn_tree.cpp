@@ -1,6 +1,7 @@
 #include "rntree/rn_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace pgrid::rntree {
@@ -82,18 +83,30 @@ bool RnTreeService::represents(Guid key) const {
 }
 
 int RnTreeService::level() const {
+  // The smallest l whose region low key lies in (pred, self]. Low keys
+  // ascend with l and never pass self, so without a wrap that is the first
+  // low key above pred: the level-l low keeps self's top l bits, and it
+  // clears pred once it includes the first bit where self (1) and pred (0)
+  // differ.
+  const chord::Peer pred = chord_.predecessor();
+  if (!pred.valid() || pred.addr == chord_.addr()) return 0;
   const std::uint64_t self = chord_.id().value();
-  for (int l = 0; l <= 64; ++l) {
-    // We represent the region iff we are the Chord successor of its low key.
-    if (represents(Guid{region_low(self, l)})) return l;
-  }
-  return 64;  // unreachable: l == 64 gives low == self, always in (pred, self]
+  const std::uint64_t below = pred.id.value();
+  if (below >= self) return 0;  // (pred, self] wraps through key 0: root
+  return std::countl_zero(self ^ below) + 1;
 }
 
 Guid RnTreeService::parent_key() const {
   const int l = level();
   PGRID_EXPECTS(l > 0);
   return Guid{region_low(chord_.id().value(), l - 1)};
+}
+
+void RnTreeService::install_parent(Peer parent) {
+  if (is_root()) return;
+  parent_ = parent;
+  parent_key_ = parent_key();
+  parent_stale_ = false;
 }
 
 Aggregate RnTreeService::subtree_aggregate() const {

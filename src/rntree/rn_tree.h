@@ -99,12 +99,17 @@ class RnTreeService {
 
   // --- introspection ------------------------------------------------------
   /// This node's level: the smallest trie level it represents (0 = root).
+  /// O(1) from the Chord predecessor.
   [[nodiscard]] int level() const;
   /// True iff this node is the tree root (represents the whole key space).
   [[nodiscard]] bool is_root() const { return level() == 0; }
   /// The key whose Chord successor is this node's parent.
   [[nodiscard]] Guid parent_key() const;
   [[nodiscard]] Peer cached_parent() const noexcept { return parent_; }
+  /// Instant bootstrap: take `parent`, the Chord successor of parent_key()
+  /// on an instantly wired ring, as the cached parent, so the first
+  /// aggregation round pushes without a lookup. No-op at the root.
+  void install_parent(Peer parent);
   [[nodiscard]] Aggregate subtree_aggregate() const;
   [[nodiscard]] std::size_t child_count() const noexcept {
     return children_.size();

@@ -226,6 +226,28 @@ TEST(ChordNodeUnit, RandomPeerDrawsFromRoutingState) {
   }
 }
 
+// The lean maintenance round: in a steady ring the StabilizeReq carries the
+// notify, and a predecessor heard every round is never pinged. The classic
+// round would send one Notify and one PingReq per node per round here.
+TEST(ChordMaintenance, SteadyRoundSendsOnlyStabilize) {
+  Fixture fx{7};
+  fx.build(64);
+  fx.simulator.run_until(sim::SimTime::seconds(60));
+  const net::NetworkStats& st = fx.net.stats();
+  EXPECT_EQ(st.sent_of(kNotify), 0u);
+  EXPECT_EQ(st.sent_of(kPingReq), 0u);
+  // One StabilizeReq per node per 1 s round (each node's first round falls
+  // at a random phase inside the first second), and no retransmissions.
+  EXPECT_GE(st.sent_of(kStabilizeReq), 64u * 59u);
+  EXPECT_LE(st.sent_of(kStabilizeReq), 64u * 61u);
+  // Every request is answered, apart from those still in flight at 60 s.
+  EXPECT_LE(st.sent_of(kStabilizeResp), st.sent_of(kStabilizeReq));
+  EXPECT_GE(st.sent_of(kStabilizeResp) + 64u, st.sent_of(kStabilizeReq));
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(fx.ring.host(i).node().stats().predecessor_clears, 0u);
+  }
+}
+
 // Property sweep: lookup correctness holds across ring sizes.
 class ChordSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chord/messages.h"
 #include "chord/ring.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -120,6 +121,70 @@ TEST(ChordFailure, PredecessorClearedAfterCrash) {
   // check_predecessor pings it and clears; a new predecessor may then be
   // installed by the (live) actual predecessor's notify.
   EXPECT_NE(node.predecessor().addr, pred.addr);
+}
+
+// A crashed predecessor stops sending StabilizeReqs, its detector turns
+// suspect, and the ping that follows fails. At the default config the clear
+// comes within 12 s of the crash: suspicion after about two learned 1 s
+// gaps, up to one more round, then the ping's two attempts (2 s, a pause of
+// at most 0.75 s, 4 s). The dead node's own predecessor then reaches this
+// node through its stabilize round, whose request carries the notify: it is
+// installed within 20 s of the crash although no Notify is ever delivered.
+TEST(ChordFailure, CrashedPredecessorClearedAndReplacedWithoutNotify) {
+  Fixture fx{9};
+  fx.build(16);
+  fx.settle(30);
+  ChordNode& node = fx.ring.host(0).node();
+  const Peer dead = node.predecessor();
+  ASSERT_TRUE(dead.valid());
+  Peer live = kNoPeer;
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (fx.ring.host(i).node().addr() == dead.addr) {
+      live = fx.ring.host(i).node().predecessor();
+      fx.ring.crash(i);
+      break;
+    }
+  }
+  ASSERT_TRUE(live.valid());
+  const std::uint64_t notifies = fx.net.stats().delivered_of(kNotify);
+  const sim::SimTime crashed_at = fx.simulator.now();
+
+  double cleared = -1.0;
+  double installed = -1.0;
+  while (fx.simulator.now() - crashed_at < sim::SimTime::seconds(40) &&
+         installed < 0.0) {
+    fx.settle(0.05);
+    const double since = (fx.simulator.now() - crashed_at).sec();
+    if (cleared < 0.0 && !(node.predecessor() == dead)) cleared = since;
+    if (node.predecessor() == live) installed = since;
+  }
+  ASSERT_GE(cleared, 0.0) << "dead predecessor never cleared";
+  EXPECT_LE(cleared, 12.0);
+  ASSERT_GE(installed, 0.0) << "live predecessor never installed";
+  EXPECT_LE(installed, 20.0);
+  EXPECT_EQ(fx.net.stats().delivered_of(kNotify), notifies);
+}
+
+// Eviction needs a failed RPC, not silence alone: at 5% loss a predecessor
+// whose StabilizeReqs go missing is probed, answers, and is kept.
+TEST(ChordFailure, LossyRingNeverClearsALivePredecessor) {
+  sim::Simulator simulator;
+  net::Network net(simulator, Rng{10},
+                   net::LatencyModel{sim::SimTime::millis(20),
+                                     sim::SimTime::millis(80)},
+                   0.05);
+  ChordRing ring(net, ChordConfig{}, Rng{11});
+  for (std::size_t i = 0; i < 32; ++i) {
+    ring.add_host(Guid::of(std::uint64_t{0xC0FFEE} + i * 104729));
+  }
+  ring.wire_instantly();
+  simulator.run_until(sim::SimTime::seconds(300));
+  EXPECT_GT(net.stats().messages_dropped_loss, 0u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const ChordNode& node = ring.host(i).node();
+    EXPECT_EQ(node.stats().predecessor_clears, 0u) << "host " << i;
+    EXPECT_TRUE(node.predecessor().valid()) << "host " << i;
+  }
 }
 
 TEST(ChordFailure, CrashedNodeRejoins) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "grid/grid_system.h"
 
 namespace pgrid::grid {
@@ -189,6 +193,58 @@ TEST(GridLifecycle, StreamingMetricsRequestIsRejected) {
   GridConfig config = base_config(MatchmakerKind::kRnTree);
   config.obs.streaming_metrics = true;
   EXPECT_DEATH(GridSystem(config, tiny_workload()), "streaming_metrics");
+}
+
+// Instant wiring also installs each RN-tree parent: the ring successor of
+// the node's parent key, found by one binary search over the wired ring.
+// With Chord maintenance off, the first aggregation rounds would otherwise
+// be the only Chord lookups before a job arrives.
+TEST(GridLifecycle, RnTreeParentsInstalledAtBuild) {
+  GridConfig config;
+  config.kind = MatchmakerKind::kRnTree;
+  config.seed = 4;
+  config.node.chord.run_maintenance = false;
+  workload::Workload w = tiny_workload(11, 64, 20);
+  // Ten aggregation rounds before the first arrival.
+  for (auto& job : w.jobs) job.arrival_sec += 20.0;
+  GridSystem system(config, std::move(w));
+  system.build();
+
+  std::vector<std::pair<Guid, net::NodeAddr>> ring;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    ring.emplace_back(system.node(i).id(), system.node(i).addr());
+  }
+  std::sort(ring.begin(), ring.end());
+  const auto successor = [&](Guid key) {
+    const auto it = std::lower_bound(
+        ring.begin(), ring.end(), key,
+        [](const auto& entry, Guid k) { return entry.first < k; });
+    return it == ring.end() ? ring.front().second : it->second;
+  };
+  const auto check_parents = [&] {
+    std::size_t roots = 0;
+    for (std::size_t i = 0; i < system.node_count(); ++i) {
+      const rntree::RnTreeService& rn = *system.node(i).rntree();
+      if (rn.is_root()) {
+        ++roots;
+        EXPECT_FALSE(rn.cached_parent().valid());
+        continue;
+      }
+      EXPECT_EQ(rn.cached_parent().addr, successor(rn.parent_key()))
+          << "node " << i;
+    }
+    EXPECT_EQ(roots, 1u);
+  };
+  check_parents();
+
+  system.run_for(19.0);
+  std::uint64_t lookups = 0;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    lookups += system.node(i).chord()->stats().lookups_started;
+  }
+  EXPECT_EQ(lookups, 0u);
+  check_parents();
+  EXPECT_EQ(system.collector().started_count(), 0u);
 }
 
 TEST(GridLifecycle, NetworkTrafficIsAccounted) {

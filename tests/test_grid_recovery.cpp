@@ -48,6 +48,26 @@ std::size_t find_run_node(GridSystem& system, std::uint64_t seq) {
   return outcome.run_node;
 }
 
+/// Crash an owner that a job queued on another live node monitors, so that
+/// run node survives and must hand off monitoring. The victim is read from
+/// the run queues, not from the owners' records: under duplication a job
+/// can be owned twice, and the collector's run node may be watching the
+/// other copy's owner. Returns the crashed index (addresses are indices),
+/// or SIZE_MAX if no such owner exists yet.
+std::size_t crash_one_remote_owner(GridSystem& system) {
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    if (!system.node_running(i)) continue;
+    for (const Peer& owner : system.node(i).queued_owners()) {
+      const auto victim = static_cast<std::size_t>(owner.addr);
+      if (owner.valid() && victim != i && system.node_running(victim)) {
+        system.crash_node(victim);
+        return victim;
+      }
+    }
+  }
+  return SIZE_MAX;
+}
+
 TEST(GridRecovery, RunNodeDeathTriggersRerun) {
   GridSystem system(recovery_config(MatchmakerKind::kCentralized),
                     recovery_workload(1, 8, 10, 200.0));
@@ -76,22 +96,8 @@ TEST(GridRecovery, OwnerDeathHandsOffMonitoring) {
                     recovery_workload(2, 10, 6, 300.0));
   system.run_for(40.0);
 
-  // Find an owner of a job that is running on a *different* node, so the
-  // run node survives the owner's crash and must hand off monitoring.
-  std::size_t owner_idx = SIZE_MAX;
-  for (std::size_t i = 0; i < system.node_count() && owner_idx == SIZE_MAX;
-       ++i) {
-    for (std::uint64_t seq : system.node(i).owned_seqs()) {
-      const auto& outcome = system.collector().job(seq);
-      if (outcome.started() && !outcome.completed() &&
-          outcome.run_node != i) {
-        owner_idx = i;
-        break;
-      }
-    }
-  }
+  const std::size_t owner_idx = crash_one_remote_owner(system);
   ASSERT_NE(owner_idx, SIZE_MAX) << "no suitable owner found";
-  system.crash_node(owner_idx);
 
   system.run();
   ASSERT_TRUE(system.finished());
@@ -154,22 +160,6 @@ TEST(GridRecovery, RestartedNodeRejoinsAndServes) {
   system.run();
   ASSERT_TRUE(system.finished());
   EXPECT_EQ(system.collector().completed_count(), 20u);
-}
-
-/// Crash the owner of a job running on a *different* node (so the run node
-/// survives and must hand off monitoring). Returns the crashed index, or
-/// SIZE_MAX if no such owner exists yet.
-std::size_t crash_one_remote_owner(GridSystem& system) {
-  for (std::size_t i = 0; i < system.node_count(); ++i) {
-    for (std::uint64_t seq : system.node(i).owned_seqs()) {
-      const auto& outcome = system.collector().job(seq);
-      if (outcome.started() && !outcome.completed() && outcome.run_node != i) {
-        system.crash_node(i);
-        return i;
-      }
-    }
-  }
-  return SIZE_MAX;
 }
 
 // Owner-failure recovery must tolerate a network that duplicates

@@ -250,6 +250,27 @@ TEST(RnTreeStructure, LevelsAreConsistentWithParents) {
   }
 }
 
+// level() is computed from the predecessor in O(1); it must equal the
+// definition: the smallest l whose level-l region low key lies in
+// (predecessor, self].
+TEST(RnTreeStructure, LevelIsSmallestRepresentedRegion) {
+  Fixture fx{7};
+  fx.build(200, 0.0);
+  const auto scan_level = [](Guid self, Guid pred) {
+    for (int l = 0; l < 64; ++l) {
+      const std::uint64_t low =
+          l == 0 ? 0 : self.value() & (~std::uint64_t{0} << (64 - l));
+      if (in_interval_oc(Guid{low}, pred, self)) return l;
+    }
+    return 64;
+  };
+  for (auto& h : fx.hosts) {
+    const chord::Peer pred = h->chord().predecessor();
+    ASSERT_TRUE(pred.valid());
+    EXPECT_EQ(h->tree().level(), scan_level(h->chord().id(), pred.id));
+  }
+}
+
 TEST(RnTreeAggregation, RootAggregateCoversAllNodes) {
   Fixture fx{5};
   fx.build(48, 60.0);
