@@ -33,7 +33,10 @@ namespace pgrid::bench {
 ///  5: adds sharded-execution fields (shards = configured shard count, 0 and
 ///     1 both meaning one shard; wall_ms = build+run wall clock in
 ///     milliseconds)
-inline constexpr int kBenchJsonSchemaVersion = 5;
+///  6: replaces anti_entropy_repairs (owner records re-homed by the retired
+///     owner audit) with gap_repairs (CAN tiling-gap claims, the sum of
+///     CanStats::gap_repairs over every node)
+inline constexpr int kBenchJsonSchemaVersion = 6;
 
 /// Build flavor baked into every JSON row so downstream tooling (and
 /// reviewers of results/*.txt) can reject numbers recorded from an
@@ -180,11 +183,11 @@ struct CellResult {
   std::uint64_t pool_fresh = 0;
   std::uint64_t pool_reused = 0;
   double pool_reuse_fraction = 0.0;
-  // Detector quality (nonzero only when GridConfig::track_liveness injected
-  // the ground-truth oracle) and online anti-entropy repair volume.
-  std::uint64_t fp_evictions = 0;       // evicted a peer that was alive
-  std::uint64_t fn_evictions = 0;       // detected later than the fixed rule
-  std::uint64_t anti_entropy_repairs = 0;  // owner records re-homed by audit
+  // Detector quality (classified by GridSystem's ground-truth liveness
+  // oracle) and CAN tiling-gap repair volume.
+  std::uint64_t fp_evictions = 0;  // evicted a peer that was alive
+  std::uint64_t fn_evictions = 0;  // detected later than the fixed rule
+  std::uint64_t gap_repairs = 0;   // CAN tiling-gap claims, all nodes
   double recovery_latency_p50 = 0.0;  // actual death -> eviction, seconds
   double recovery_latency_p99 = 0.0;
   // End-of-run per-subsystem memory footprint (peak across replicates when
@@ -208,7 +211,7 @@ inline void attach_pool_stats(CellResult& r,
                        static_cast<double>(total);
 }
 
-inline CellResult summarize(const grid::GridSystem& system) {
+inline CellResult summarize(grid::GridSystem& system) {
   CellResult r;
   const auto& c = system.collector();
   const Samples waits = c.wait_times();
@@ -251,7 +254,11 @@ inline CellResult summarize(const grid::GridSystem& system) {
   r.forwards = node_stats.can_forwards;
   r.fp_evictions = node_stats.fp_evictions;
   r.fn_evictions = node_stats.fn_evictions;
-  r.anti_entropy_repairs = node_stats.owner_audit_repairs;
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    if (const can::CanNode* can = system.node(i).can(); can != nullptr) {
+      r.gap_repairs += can->stats().gap_repairs;
+    }
+  }
   if (!node_stats.detection_latency.empty()) {
     r.recovery_latency_p50 = node_stats.detection_latency.median();
     r.recovery_latency_p99 = node_stats.detection_latency.quantile(0.99);
@@ -286,7 +293,7 @@ inline CellResult average(const std::vector<CellResult>& cells) {
     avg.batch_parts_delivered += c.batch_parts_delivered;
     avg.fp_evictions += c.fp_evictions;
     avg.fn_evictions += c.fn_evictions;
-    avg.anti_entropy_repairs += c.anti_entropy_repairs;
+    avg.gap_repairs += c.gap_repairs;
     avg.recovery_latency_p50 += c.recovery_latency_p50;
     avg.recovery_latency_p99 += c.recovery_latency_p99;
     avg.shards = std::max(avg.shards, c.shards);
@@ -407,7 +414,7 @@ class BenchJson {
         ",\"pool_fresh\":%" PRIu64 ",\"pool_reused\":%" PRIu64
         ",\"pool_reuse_fraction\":%.4f"
         ",\"fp_evictions\":%" PRIu64 ",\"fn_evictions\":%" PRIu64
-        ",\"anti_entropy_repairs\":%" PRIu64
+        ",\"gap_repairs\":%" PRIu64
         ",\"recovery_latency_p50\":%.6f,\"recovery_latency_p99\":%.6f",
         kBenchJsonSchemaVersion, bench_.c_str(), kBuildType, label.c_str(),
         r.wait_avg, r.wait_stdev, r.match_hops_avg, r.injection_hops_avg,
@@ -420,7 +427,7 @@ class BenchJson {
         static_cast<std::uint64_t>(r.sim_queue_peak),
         static_cast<std::uint64_t>(r.sim_tombstone_peak),
         r.pool_fresh, r.pool_reused, r.pool_reuse_fraction,
-        r.fp_evictions, r.fn_evictions, r.anti_entropy_repairs,
+        r.fp_evictions, r.fn_evictions, r.gap_repairs,
         r.recovery_latency_p50, r.recovery_latency_p99);
     // Per-subsystem memory breakdown: one field per MemClass plus the total.
     for (std::size_t c = 0; c < obs::MemoryAccountant::kClasses; ++c) {

@@ -1,4 +1,4 @@
-// Survival under hostile churn: detector quality and anti-entropy repair.
+// Survival under hostile churn: detector quality and burst recovery.
 //
 //   churn_survival [--nodes=100] [--jobs=400] [--json=1] ...
 //
@@ -14,12 +14,11 @@
 // Sweep B (correlated burst survival) crashes a contiguous 30% overlay
 // arc/slab at once — a rack power loss in overlay coordinates, the worst
 // case for neighbor-replicated state — with victims rejoining minutes
-// later, and compares runs with the online anti-entropy machinery (owner
-// audits, CAN gap audits, RN-tree token leases) off and on. With healing
-// on, completion should stay >= 99%.
+// later: one row per matchmaker, with the CAN gap check's repairs counted.
+// Completion should stay >= 99%.
 //
-// --json=1 emits one BENCH row per cell (schema v3 carries the detector
-// fields).
+// --json=1 emits one BENCH row per cell (schema v6 carries the detector
+// fields and gap_repairs).
 
 #include "bench/bench_util.h"
 
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
   Config config;
   config.parse_args(argc, argv);
   Scale scale = Scale::from_config(config);
-  // Well below paper scale by default: 12 full churn runs, and every false
+  // Well below paper scale by default: 9 full churn runs, and every false
   // positive costs a requeue + re-match cycle. --nodes/--jobs rescale.
   if (!config.has("nodes")) scale.nodes = 100;
   if (!config.has("jobs")) scale.jobs = 400;
@@ -47,9 +46,9 @@ int main(int argc, char** argv) {
               scale.jobs);
 
   // Derived seeds, one workload/system pair per sweep. Cells *within* a
-  // sweep intentionally share them: every fault/healing variant replays
-  // the same workload under the same system stream, so differences are the
-  // treatment, not sampling noise. The four streams must be distinct.
+  // sweep intentionally share them: every cell replays the same workload
+  // under the same system stream, so differences are the treatment, not
+  // sampling noise. The four streams must be distinct.
   const std::uint64_t seed_wl_a =
       derive_seed(scale.seed, SeedStream::kWorkload, /*salt=*/1);
   const std::uint64_t seed_sys_a =
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
         gc.client.max_generations = 8;
         gc.node.heartbeat_period = sim::SimTime::seconds(5.0);
         gc.node.heartbeat_miss_threshold = 3;
-        gc.track_liveness = true;  // the oracle classifies every eviction
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
         system.build();
@@ -151,34 +149,18 @@ int main(int argc, char** argv) {
     json.row(label, r);
   }
 
-  // --- sweep B: 30% correlated crash burst, anti-entropy off vs on ---------
-  struct BurstCell {
-    MatchmakerKind kind;
-    bool healing;
-  };
-  std::vector<BurstCell> bcells;
-  for (MatchmakerKind kind : kinds) {
-    for (bool healing : {false, true}) bcells.push_back(BurstCell{kind, healing});
-  }
-
+  // --- sweep B: 30% correlated crash burst ----------------------------------
   const auto bresults = sim::run_sweep<CellResult>(
-      bcells.size(), scale.threads, [&](std::size_t i) {
-        const BurstCell& cell = bcells[i];
+      kinds.size(), scale.threads, [&](std::size_t i) {
         const auto spec =
             make_spec(scale, Mix::kMixed, Mix::kMixed, 0.4, seed_wl_b);
-        grid::GridConfig gc = make_grid_config(cell.kind, seed_sys_b);
+        grid::GridConfig gc = make_grid_config(kinds[i], seed_sys_b);
         gc.light_maintenance = false;
         gc.client.resubmit_base_sec = 300.0;
         gc.client.resubmit_runtime_factor = 8.0;
         gc.client.max_generations = 8;
         gc.node.heartbeat_period = sim::SimTime::seconds(5.0);
         gc.node.heartbeat_miss_threshold = 3;
-        if (cell.healing) {
-          gc.node.audit_period = sim::SimTime::seconds(15.0);
-          gc.node.can.audit_period = sim::SimTime::seconds(15.0);
-          gc.node.rntree.token_lease = sim::SimTime::seconds(10.0);
-        }
-        gc.track_liveness = true;
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
         system.build();
@@ -197,33 +179,24 @@ int main(int argc, char** argv) {
       });
 
   print_header("30% correlated crash burst (contiguous arc/slab, rejoin ~300s)");
-  std::printf("%-10s %-13s %10s %10s %10s %10s\n", "matchmaker",
-              "anti-entropy", "completed", "resubmits", "requeues", "repairs");
-  for (std::size_t i = 0; i < bcells.size(); ++i) {
-    const BurstCell& cell = bcells[i];
+  std::printf("%-10s %10s %10s %10s %12s\n", "matchmaker", "completed",
+              "resubmits", "requeues", "gap-repairs");
+  std::size_t survived = 0;
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
     const CellResult& r = bresults[i];
-    std::printf("%-10s %-13s %9.1f%% %10llu %10llu %10llu\n",
-                grid::matchmaker_name(cell.kind),
-                cell.healing ? "on" : "off", 100.0 * r.completed_fraction,
+    std::printf("%-10s %9.1f%% %10llu %10llu %12llu\n",
+                grid::matchmaker_name(kinds[i]), 100.0 * r.completed_fraction,
                 static_cast<unsigned long long>(r.resubmissions),
                 static_cast<unsigned long long>(r.requeues),
-                static_cast<unsigned long long>(r.anti_entropy_repairs));
+                static_cast<unsigned long long>(r.gap_repairs));
     char label[64];
-    std::snprintf(label, sizeof label, "%s/burst30/heal-%s",
-                  grid::matchmaker_name(cell.kind),
-                  cell.healing ? "on" : "off");
-    json.row(label, bresults[i]);
+    std::snprintf(label, sizeof label, "%s/burst30",
+                  grid::matchmaker_name(kinds[i]));
+    json.row(label, r);
+    if (r.completed_fraction >= 0.99) ++survived;
   }
-
-  std::size_t healed_ok = 0, healed = 0;
-  for (std::size_t i = 0; i < bcells.size(); ++i) {
-    if (!bcells[i].healing) continue;
-    ++healed;
-    if (bresults[i].completed_fraction >= 0.99) ++healed_ok;
-  }
-  std::printf("\nverdict: completion >= 99%% with anti-entropy on in %zu/%zu "
-              "matchmakers\n",
-              healed_ok, healed);
+  std::printf("\nverdict: completion >= 99%% in %zu/%zu matchmakers\n",
+              survived, kinds.size());
   if (json.active()) {
     std::printf("bench rows written to %s\n", json.path().c_str());
   }

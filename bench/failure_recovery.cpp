@@ -62,8 +62,6 @@ int main(int argc, char** argv) {
         gc.client.max_generations = 8;
         gc.node.heartbeat_period = sim::SimTime::seconds(5.0);
         gc.node.heartbeat_miss_threshold = 3;
-        // Oracle-classified evictions: FP (peer was alive) / late detection.
-        gc.track_liveness = true;
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
         system.build();
@@ -146,7 +144,6 @@ int main(int argc, char** argv) {
         gc.client.resubmit_base_sec = 300.0;
         gc.client.resubmit_runtime_factor = 8.0;
         gc.client.max_generations = 8;
-        gc.track_liveness = true;
         const auto pool_before = net::MessagePool::stats();
         grid::GridSystem system(gc, workload::generate(spec));
         system.build();

@@ -7,19 +7,17 @@
 //
 //   ./chaos_replay [--kind=rn-tree] [--seed=1] [--nodes=20] [--jobs=40]
 //                  [--rounds=6] [--trace=1] [--correlated] [--flapping]
-//                  [--self-healing]
 //
 // --correlated / --flapping extend the drawn fault classes with
 // topology-correlated crash bursts (a contiguous Chord arc / CAN slab) and
 // rapid join-leave flapping; enabling them redraws the whole schedule, so
 // they are part of the replay identity and appear in replay commands.
-// --self-healing turns on the online anti-entropy audits on every node and
-// the liveness oracle that classifies evictions; φ-accrual liveness is
-// always on.
+// Self-healing has no switch: φ-accrual liveness, the CAN gap check and the
+// liveness oracle that classifies evictions run in every schedule.
 //
 // --matrix ignores the single-schedule flags and runs the standard 24-cell
 // matrix (rn-tree/can/can-push x seeds 1..8) through parallel_for_cells;
-// --extended appends the 12-cell self-healing matrix (x seeds 1..4, with
+// --extended appends the 12-cell extended matrix (x seeds 1..4, with
 // correlated bursts and flapping). --threads=N sets the worker count
 // (0 = hardware concurrency). Per-cell verdict lines print in cell order and
 // are byte-identical for every thread count, so CI can diff a --threads=1
@@ -47,8 +45,6 @@ int main(int argc, char** argv) {
       config.set("correlated", "1");
     } else if (token == "--flapping") {
       config.set("flapping", "1");
-    } else if (token == "--self-healing") {
-      config.set("self-healing", "1");
     } else if (token == "--matrix") {
       config.set("matrix", "1");
     } else if (token == "--extended") {
@@ -90,7 +86,6 @@ int main(int argc, char** argv) {
           if (cells[i].ext) {
             cell.enable_correlated = true;
             cell.enable_flapping = true;
-            cell.self_healing = true;
           }
           reports[i] = sim::run_chaos(cell);
         });
@@ -123,7 +118,6 @@ int main(int argc, char** argv) {
   cfg.fault_rounds = static_cast<int>(config.get_int("rounds", 6));
   cfg.enable_correlated = config.get_bool("correlated", false);
   cfg.enable_flapping = config.get_bool("flapping", false);
-  cfg.self_healing = config.get_bool("self-healing", false);
   cfg.trace = config.get_bool("trace", false);
   cfg.verbose = config.get_bool("verbose", false);
   if (cfg.trace) {

@@ -18,9 +18,8 @@
 // Failure-detection keys: every layer evicts silent peers with a φ-accrual
 // detector. --heartbeat-period=sec (5) sets the grid heartbeat period and
 // --miss-threshold=n (3) the number of periods φ waits for a peer with too
-// little history to learn from (its cold-start deadline); --audit-period=sec
-// (0 = off) enables the online anti-entropy audits (owner records, CAN
-// tiling, RN-tree search-token leases) at that period.
+// little history to learn from (its cold-start deadline). Self-healing has
+// no switch: the CAN gap check runs in every CAN update round.
 //
 // Observability keys: --trace[=path] writes a Chrome trace_event JSON
 // (default trace.json, load at https://ui.perfetto.dev), --trace-jsonl=path
@@ -121,18 +120,12 @@ int main(int argc, char** argv) {
   // reject churn/trace/timeseries/metrics-out.
   gc.shards = static_cast<std::size_t>(config.get_int("shards", 0));
 
-  // --- failure detection / anti-entropy ------------------------------------
+  // --- failure detection -----------------------------------------------------
   gc.node.heartbeat_period = sim::SimTime::seconds(
       config.get_double("heartbeat-period",
                         gc.node.heartbeat_period.sec()));
   gc.node.heartbeat_miss_threshold = static_cast<int>(config.get_int(
       "miss-threshold", gc.node.heartbeat_miss_threshold));
-  const double audit_sec = config.get_double("audit-period", 0.0);
-  if (audit_sec > 0.0) {
-    gc.node.audit_period = sim::SimTime::seconds(audit_sec);
-    gc.node.can.audit_period = sim::SimTime::seconds(audit_sec);
-    gc.node.rntree.token_lease = sim::SimTime::seconds(audit_sec);
-  }
 
   // --- observability ----------------------------------------------------------
   if (config.has("trace") || config.has("trace-jsonl") ||
@@ -205,10 +198,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.run_recoveries),
                 static_cast<unsigned long long>(stats.owner_recoveries),
                 static_cast<unsigned long long>(stats.jobs_killed_quota));
-  }
-  if (stats.owner_audit_repairs) {
-    std::printf("anti-entropy: %llu owner records re-homed\n",
-                static_cast<unsigned long long>(stats.owner_audit_repairs));
   }
   std::printf("\nwait-time distribution:\n%s",
               metrics::wait_histogram(c).c_str());

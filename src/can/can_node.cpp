@@ -134,8 +134,8 @@ void CanNode::crash() {
   running_ = false;
   joining_ = false;
   update_task_.reset();
-  audit_task_.reset();
-  audit_probe_inflight_ = false;
+  gap_probe_inflight_ = false;
+  gap_dead_ends_.clear();
   rpc_.cancel_all();
   for (auto& [addr, timer] : takeover_timers_) {
     net_.simulator().cancel(timer);
@@ -181,15 +181,19 @@ double CanNode::total_volume() const noexcept {
 void CanNode::route(Point target, RouteCallback cb) {
   PGRID_EXPECTS(cb != nullptr);
   PGRID_EXPECTS(target.dims() == config_.dims);
-  ++stats_.routes_started;
-  if (!running_ || zones_.empty()) {
-    ++stats_.routes_failed;
-    cb(kNoPeer, 0);
-    return;
-  }
   auto st = std::make_shared<RouteState>();
   st->target = target;
   st->cb = std::move(cb);
+  start_route(st);
+}
+
+void CanNode::start_route(const std::shared_ptr<RouteState>& st) {
+  ++stats_.routes_started;
+  if (!running_ || zones_.empty()) {
+    ++stats_.routes_failed;
+    st->cb(kNoPeer, 0);
+    return;
+  }
   st->retries_left = config_.route_retries;
   route_restart(st);
 }
@@ -227,6 +231,7 @@ void CanNode::route_ask(const std::shared_ptr<RouteState>& st, Peer target) {
                   [this, st, target](net::MessagePtr reply) {
               if (!running_) return;
               if (reply == nullptr) {
+                st->timed_out = true;
                 if (!contains_id(st->avoid, target.id)) {
                   st->avoid.push_back(target.id);
                 }
@@ -402,8 +407,11 @@ void CanNode::on_join(net::NodeAddr from, const JoinReq& req) {
   }
 
   // Split so both parties keep their representative points where possible.
-  const Point keeper =
-      zit->contains(rep_point_) ? rep_point_ : zit->center();
+  // Across an extent of one ulp (a gap claim or a conflict carve meeting a
+  // boundary computed another way) the centre can round onto the upper
+  // face, outside the zone; the lower corner is always inside.
+  Point keeper = zit->contains(rep_point_) ? rep_point_ : zit->center();
+  if (!zit->contains(keeper)) keeper = zit->lo();
   const auto [mine, theirs] = zit->split_for(keeper, req.point);
   *zit = mine;
   note_zones_changed();  // also invalidates scan epochs for the new entry below
@@ -742,15 +750,6 @@ void CanNode::start_maintenance() {
       sim::SimTime::nanos(rng_.range(0, config_.update_period.ns() - 1));
   update_task_ = std::make_unique<sim::PeriodicTask>(
       net_.simulator(), config_.update_period, [this] { do_update(); }, phase);
-  // Gated before its phase draw: with the audit off (the default) the RNG
-  // sequence — and thus every downstream draw — is untouched.
-  if (config_.audit_period > sim::SimTime::zero()) {
-    const auto audit_phase =
-        sim::SimTime::nanos(rng_.range(0, config_.audit_period.ns() - 1));
-    audit_task_ = std::make_unique<sim::PeriodicTask>(
-        net_.simulator(), config_.audit_period, [this] { do_gap_audit(); },
-        audit_phase);
-  }
 }
 
 void CanNode::do_update() {
@@ -866,6 +865,8 @@ void CanNode::do_update() {
       send_zone_update(naddr);
     }
   }
+
+  do_gap_audit();
 }
 
 void CanNode::note_lost(Peer peer) {
@@ -988,7 +989,7 @@ void CanNode::execute_takeover(net::NodeAddr dead) {
   broadcast_zone_update(to_notify);
 }
 
-// --- anti-entropy tiling audit ----------------------------------------------
+// --- tiling gap check --------------------------------------------------------
 
 bool CanNode::point_known_covered(const Point& p) const noexcept {
   for (const Zone& z : zones_) {
@@ -1003,14 +1004,20 @@ bool CanNode::point_known_covered(const Point& p) const noexcept {
 }
 
 void CanNode::do_gap_audit() {
-  if (!running_ || zones_.empty() || audit_probe_inflight_) return;
+  if (!running_ || zones_.empty() || gap_probe_inflight_) return;
+  if (gap_clear_epoch_ == geometry_epoch_) return;  // nothing moved: clear
+  if (gap_futile_epoch_ != geometry_epoch_) gap_futile_.clear();
   // Probe the first face of our zones whose far side no known zone covers.
   // A correlated crash of a whole region leaves interior zones owned by
   // nobody: the survivors on the region's rim only ever knew (and took
   // over) the outermost dead layer, so the hole beyond their new frontier
   // is invisible to the timeout/takeover machinery. Routing towards the
   // uncovered point settles it: an owner means the tables merely went
-  // asymmetric (re-link them); no owner means a genuine hole (claim it).
+  // asymmetric (re-link them); a greedy dead end with every hop answering
+  // means a genuine hole (claim it; see local_dead_end_settled for a dead
+  // end in our own table). A silent hop settles nothing: the owner may be
+  // alive behind it, so the face is probed again next round. A whole
+  // tiling sends nothing.
   constexpr double kEps = 1e-9;
   for (const Zone& z : zones_) {
     for (std::size_t d = 0; d < z.dims(); ++d) {
@@ -1019,10 +1026,23 @@ void CanNode::do_gap_audit() {
         if (hi_side ? face >= 1.0 : face <= 0.0) continue;  // space boundary
         Point probe = z.center();
         probe[d] = hi_side ? face : face - kEps;
-        if (point_known_covered(probe)) continue;
-        audit_probe_inflight_ = true;
-        route(probe, [this, z, d, hi_side, probe](Peer owner, int /*hops*/) {
-          audit_probe_inflight_ = false;
+        if (point_known_covered(probe)) {
+          std::erase_if(gap_dead_ends_,
+                        [&probe](const auto& e) { return e.first == probe; });
+          continue;
+        }
+        if (std::find(gap_futile_.begin(), gap_futile_.end(), probe) !=
+            gap_futile_.end()) {
+          continue;
+        }
+        gap_probe_inflight_ = true;
+        auto st = std::make_shared<RouteState>();
+        st->target = probe;
+        // st owns the callback and outlives every call of it, so the
+        // callback may read st's timeout flag through a plain pointer.
+        st->cb = [this, z, d, hi_side, probe, state = st.get()](
+                     Peer owner, int hops) {
+          gap_probe_inflight_ = false;
           if (!running_ || zones_.empty()) return;
           if (owner.valid() && owner.addr != addr()) {
             // Someone does own the space; we just lost track of them.
@@ -1033,19 +1053,54 @@ void CanNode::do_gap_audit() {
           }
           if (owner.valid()) return;  // resolved to us: closed meanwhile
           if (point_known_covered(probe)) return;  // likewise
+          if (state->timed_out) return;  // no verdict: probe again later
+          if (hops == 0 && !local_dead_end_settled(probe)) return;
           claim_gap(z, d, hi_side);
-        });
+          if (point_known_covered(probe)) return;
+          // Nothing claimable covers the probe (the claim's pieces fell
+          // short of it by an ulp, say): skip this face until the geometry
+          // moves, so the scan reaches the faces behind it.
+          if (gap_futile_epoch_ != geometry_epoch_) {
+            gap_futile_.clear();
+            gap_futile_epoch_ = geometry_epoch_;
+          }
+          gap_futile_.push_back(probe);
+        };
+        start_route(st);
         return;  // one probe per round keeps claims serialized
       }
     }
   }
+  gap_clear_epoch_ = geometry_epoch_;
+  gap_dead_ends_.clear();
+}
+
+bool CanNode::local_dead_end_settled(const Point& probe) {
+  // A dead end found in our own table, with no hop asked, may only mean the
+  // table is stale: the owner died moments ago and a neighbor's takeover of
+  // its whole zone is due, or a zone update was lost. Such a face is
+  // claimed only once it has stayed a dead end past the takeover deadline.
+  // Claiming sooner lets a mirror bite race the takeover, and the double
+  // claim's carve fragments both zone sets.
+  const sim::SimTime now = net_.simulator().now();
+  for (auto it = gap_dead_ends_.begin(); it != gap_dead_ends_.end(); ++it) {
+    if (!(it->first == probe)) continue;
+    if (now - it->second <
+        config_.neighbor_timeout + config_.takeover_base_delay) {
+      return false;
+    }
+    gap_dead_ends_.erase(it);
+    return true;
+  }
+  gap_dead_ends_.emplace_back(probe, now);
+  return false;
 }
 
 void CanNode::claim_gap(const Zone& z, std::size_t d, bool hi_side) {
   // The hole's true extent is unknown (its owners are dead and gone), so
   // claim the mirror of our own zone across the shared face — a bounded,
-  // deterministic bite — minus every zone we know to be owned. Repeated
-  // audit rounds grow the claim until the tiling closes; if the bite
+  // deterministic bite — minus every zone we know to be owned. Later
+  // update rounds grow the claim until the tiling closes; if the bite
   // overlaps a live stranger's zone after all, the GUID-ordered conflict
   // rule in on_zone_update resolves the double claim on first contact.
   Point lo = z.lo();

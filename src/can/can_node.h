@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "can/geometry.h"
@@ -41,11 +42,6 @@ struct CanConfig {
   /// Weight of a node's own load in the per-dimension upstream load report
   /// (the remainder comes from the report received from above).
   double push_alpha = 0.5;
-  /// Anti-entropy tiling audit period (zero = off). Each round probes one
-  /// uncovered face of this node's zones via routing; space no reachable
-  /// node claims (a hole left by a correlated crash of a whole region) is
-  /// claimed by the prober, bounded by its own zone extents.
-  sim::SimTime audit_period = sim::SimTime::zero();
 };
 
 struct CanStats {
@@ -55,7 +51,7 @@ struct CanStats {
   std::uint64_t takeovers = 0;
   RunningStats route_hops;
   std::uint64_t suspicions = 0;   // φ: stale neighbors not yet taken over
-  std::uint64_t gap_repairs = 0;  // anti-entropy tiling-gap claims
+  std::uint64_t gap_repairs = 0;  // tiling-gap claims (do_gap_audit)
 };
 
 /// Everything a node knows about a neighbor.
@@ -175,9 +171,14 @@ class CanNode {
     RouteCallback cb;
     int hops = 0;
     int retries_left = 0;
+    /// Some hop went unanswered: a failed route may have missed a live
+    /// owner, so kNoPeer proves no hole.
+    bool timed_out = false;
     std::vector<Guid> avoid;
   };
 
+  /// Count and launch a route whose target and callback are set.
+  void start_route(const std::shared_ptr<RouteState>& st);
   void route_restart(const std::shared_ptr<RouteState>& st);
   void route_ask(const std::shared_ptr<RouteState>& st, Peer target);
   void route_done(const std::shared_ptr<RouteState>& st, Peer owner);
@@ -200,9 +201,16 @@ class CanNode {
   /// snapshot only when its copy is stale and a hello otherwise, everything
   /// to one neighbor coalesced into one wire message.
   void do_update();
-  /// One anti-entropy round: probe the first face of our zones not covered
-  /// by any known zone; claim the space if routing finds no owner either.
+  /// Gap check, the last step of every update round: probe the first face
+  /// of our zones not covered by any known zone; claim the space if routing
+  /// ends at a greedy dead end with every hop answering (at our own table:
+  /// only after the takeover deadline). Skipped while the geometry is
+  /// unchanged since the last scan that found every face covered or futile
+  /// (gap_clear_epoch_).
   void do_gap_audit();
+  /// For a face whose probe dead-ended at hop 0: true once the dead end has
+  /// held past the takeover deadline (records the first one, then false).
+  bool local_dead_end_settled(const Point& probe);
   /// Claim the mirror of zone `z` across face (`d`, `hi_side`), minus every
   /// zone we already know about (ours and neighbors').
   void claim_gap(const Zone& z, std::size_t d, bool hi_side);
@@ -265,10 +273,11 @@ class CanNode {
   /// Bumped on every zones_ mutation; advertised in snapshots so receivers
   /// can recognize an unchanged claim without comparing geometry.
   std::uint64_t zones_version_ = 0;
-  /// Bumped whenever anything on_zone_update's geometry scans read changes:
-  /// our own zones_ or the neighbor table's membership / stored zone sets.
-  /// A NeighborState whose scan_epoch matches is guaranteed that re-running
-  /// those scans would reproduce the previous (empty) outcome.
+  /// Bumped whenever anything on_zone_update's geometry scans or the gap
+  /// scan read changes: our own zones_ or the neighbor table's membership /
+  /// stored zone sets. A NeighborState whose scan_epoch (or a
+  /// gap_clear_epoch_) matches is guaranteed that re-running those scans
+  /// would reproduce the previous (empty) outcome.
   std::uint64_t geometry_epoch_ = 1;
 
   static constexpr std::size_t kLostCap = 16;
@@ -292,8 +301,19 @@ class CanNode {
   FlatMap<net::NodeAddr, Zone> pending_grants_;
 
   std::unique_ptr<sim::PeriodicTask> update_task_;
-  std::unique_ptr<sim::PeriodicTask> audit_task_;  // anti-entropy (gated)
-  bool audit_probe_inflight_ = false;
+  /// geometry_epoch_ at the last gap scan that found every face covered
+  /// or futile (0 = none yet). Every input of point_known_covered bumps the
+  /// epoch, so while the two match a rescan would find nothing.
+  std::uint64_t gap_clear_epoch_ = 0;
+  /// Probe points of futile faces: routing found no owner and the claim
+  /// left the probe uncovered (a face of a sliver zone one ulp wide, say).
+  /// Valid while geometry_epoch_ equals gap_futile_epoch_.
+  std::vector<Point> gap_futile_;
+  std::uint64_t gap_futile_epoch_ = 0;
+  /// Probe points of faces that dead-ended at hop 0, with the time of the
+  /// first such dead end; dropped once the face is covered or claimed.
+  std::vector<std::pair<Point, sim::SimTime>> gap_dead_ends_;
+  bool gap_probe_inflight_ = false;
   CanStats stats_;
 };
 

@@ -24,7 +24,8 @@ const char* matchmaker_name(MatchmakerKind kind) noexcept {
 GridNode::GridNode(net::Network& network, std::uint32_t index, Guid id,
                    ResourceVector caps, double virtual_coord,
                    GridNodeConfig config, CentralScheduler* central,
-                   metrics::Collector* collector, Rng rng)
+                   metrics::Collector* collector,
+                   const std::vector<double>* down_since, Rng rng)
     : net_(network),
       rpc_(network, network.add_handler(this)),
       index_(index),
@@ -33,8 +34,10 @@ GridNode::GridNode(net::Network& network, std::uint32_t index, Guid id,
       config_(config),
       central_(central),
       collector_(collector),
+      down_since_(down_since),
       rng_(rng) {
   PGRID_EXPECTS(collector_ != nullptr);
+  PGRID_EXPECTS(down_since_ != nullptr);
   if (uses_chord(config_.kind)) {
     chord_ = std::make_unique<chord::ChordNode>(net_, addr(), id_,
                                                 config_.chord, rng_.fork(1));
@@ -71,13 +74,6 @@ void GridNode::start() {
   owner_monitor_task_ = std::make_unique<sim::PeriodicTask>(
       net_.simulator(), config_.heartbeat_period,
       [this] { monitor_owned_jobs(); }, phase(config_.heartbeat_period));
-  if (config_.audit_period > sim::SimTime::zero()) {
-    // Gated before the phase draw: with anti-entropy off, the RNG sequence
-    // is untouched and fixed-seed runs stay byte-identical.
-    audit_task_ = std::make_unique<sim::PeriodicTask>(
-        net_.simulator(), config_.audit_period, [this] { audit_owned_jobs(); },
-        phase(config_.audit_period));
-  }
   if (rn_) rn_->start();
   update_load_gauge();
 }
@@ -88,7 +84,6 @@ void GridNode::crash() {
   running_ = false;
   heartbeat_task_.reset();
   owner_monitor_task_.reset();
-  audit_task_.reset();
   net_.simulator().cancel(completion_event_);
   completion_event_ = sim::kInvalidEvent;
   executing_ = false;
@@ -1027,8 +1022,8 @@ void GridNode::do_heartbeats() {
 }
 
 void GridNode::note_eviction(net::NodeAddr peer) {
-  if (!config_.liveness_oracle) return;
-  const double down_since = config_.liveness_oracle(peer);
+  const double down_since =
+      peer < down_since_->size() ? (*down_since_)[peer] : -1.0;
   if (down_since < 0.0) {
     ++stats_.fp_evictions;
     return;
@@ -1041,49 +1036,6 @@ void GridNode::note_eviction(net::NodeAddr peer) {
   const double fixed_bound =
       (config_.heartbeat_period * (config_.heartbeat_miss_threshold + 1)).sec();
   if (latency > fixed_bound + 1e-9) ++stats_.fn_evictions;
-}
-
-void GridNode::audit_owned_jobs() {
-  if (owned_.empty() || (chord_ == nullptr && can_ == nullptr)) return;
-  std::vector<Guid> guids;
-  guids.reserve(owned_.size());
-  for (const auto& [guid, od] : owned_) {
-    if (od.dispatched && od.run.valid()) guids.push_back(guid);
-  }
-  for (Guid guid : guids) {
-    const auto resolve = [this, guid](Peer current, int) {
-      auto it = owned_.find(guid);
-      if (!running_ || it == owned_.end()) return;
-      if (!current.valid() || current.addr == addr()) return;  // still ours
-      // The overlay now maps this GUID elsewhere (a healed partition or a
-      // rejoined node moved the key): re-register the record with the
-      // current owner and retire our duplicate, so exactly one owner is
-      // monitoring the run node when it next looks the job up.
-      const JobProfile profile = it->second.profile;
-      const Peer run = it->second.run;
-      rpc_.call(current.addr, std::make_unique<OwnerHandoff>(profile, run),
-                config_.rpc_timeout,
-                [this, guid, current](net::MessagePtr reply) {
-                  if (!running_ || reply == nullptr) return;
-                  auto jt = owned_.find(guid);
-                  if (jt == owned_.end()) return;
-                  ++stats_.owner_audit_repairs;
-                  PGRID_TRACE_EVENT(net_.trace(),
-                                    obs::EventKind::kAntiEntropyRepair,
-                                    addr(),
-                                    static_cast<std::uint32_t>(current.addr),
-                                    1, jt->second.profile.seq);
-                  owned_.erase(jt);
-                });
-    };
-    if (chord_) {
-      chord_->lookup(guid, resolve);
-    } else if (can_) {
-      auto it = owned_.find(guid);
-      if (it == owned_.end()) continue;
-      can_->route(it->second.profile.can_coords(), resolve);
-    }
-  }
 }
 
 void GridNode::recover_owner(Guid guid) {

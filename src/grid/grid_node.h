@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "can/can_node.h"
 #include "chord/chord_node.h"
@@ -57,18 +58,6 @@ struct GridNodeConfig {
   int match_max_attempts = 8;
   sim::SimTime match_retry_delay = sim::SimTime::seconds(3.0);
 
-  /// Anti-entropy owner audit: period between background checks that every
-  /// owned-job record still agrees with the overlay's current GUID→owner
-  /// mapping; divergent records are re-registered with the rightful owner.
-  /// Zero (the default) disables the audit task entirely.
-  sim::SimTime audit_period = sim::SimTime::zero();
-
-  /// Stats-only liveness oracle injected by the harness: returns the sim
-  /// time (in seconds) at which the address went down, or a negative value
-  /// if it is currently up. Used solely to classify evictions as false
-  /// positives / late detections — never consulted for protocol decisions.
-  std::function<double(net::NodeAddr)> liveness_oracle;
-
   // RN-Tree matchmaking (§3.1).
   std::uint32_t rn_walk_len = 2;   // limited random walk after DHT mapping
   std::uint32_t rn_search_k = 4;   // extended search candidate target
@@ -100,18 +89,22 @@ struct GridNodeStats {
   std::uint64_t can_forwards = 0;
   std::uint64_t walks_started = 0;  // TTL-walk probes launched
   std::uint64_t walks_failed = 0;   // probes that found nothing (TTL/timeout)
-  // Detector quality (populated only when a liveness oracle is injected).
+  // Detector quality (classified by the ground-truth liveness ledger).
   std::uint64_t fp_evictions = 0;  // evicted a peer that was actually alive
   std::uint64_t fn_evictions = 0;  // slower than a fixed deadline would be
-  std::uint64_t owner_audit_repairs = 0;  // divergent owner records re-homed
   Samples detection_latency;  // actual death → eviction, seconds
 };
 
 class GridNode final : public net::MessageHandler {
  public:
+  /// `down_since` is the stats-only liveness ledger, indexed by address:
+  /// the sim time (in seconds) at which the address went down, or a
+  /// negative value while it is up. It only classifies evictions as false
+  /// positives / late detections — never a protocol decision.
   GridNode(net::Network& network, std::uint32_t index, Guid id,
            ResourceVector caps, double virtual_coord, GridNodeConfig config,
-           CentralScheduler* central, metrics::Collector* collector, Rng rng);
+           CentralScheduler* central, metrics::Collector* collector,
+           const std::vector<double>* down_since, Rng rng);
   ~GridNode() override;
 
   void on_message(net::NodeAddr from, net::MessagePtr msg) override;
@@ -223,10 +216,7 @@ class GridNode final : public net::MessageHandler {
                  std::function<void(Peer, int)> cb);
   void dispatch(Guid guid, Peer run, int match_hops);
   void monitor_owned_jobs();
-  /// Anti-entropy: verify each owned record against the overlay's current
-  /// GUID→owner mapping; hand divergent records to the rightful owner.
-  void audit_owned_jobs();
-  /// Classify an eviction decision against the injected liveness oracle
+  /// Classify an eviction decision against the liveness ledger
   /// (false positive / detection latency / late detection). Stats only.
   void note_eviction(net::NodeAddr peer);
   void on_heartbeat(net::NodeAddr from, net::MessagePtr& msg);
@@ -276,6 +266,7 @@ class GridNode final : public net::MessageHandler {
   GridNodeConfig config_;
   CentralScheduler* central_;
   metrics::Collector* collector_;
+  const std::vector<double>* down_since_;
   Rng rng_;
 
   std::unique_ptr<chord::ChordNode> chord_;
@@ -304,7 +295,6 @@ class GridNode final : public net::MessageHandler {
 
   std::unique_ptr<sim::PeriodicTask> heartbeat_task_;
   std::unique_ptr<sim::PeriodicTask> owner_monitor_task_;
-  std::unique_ptr<sim::PeriodicTask> audit_task_;  // only when audit_period > 0
 
   GridNodeStats stats_;
 };

@@ -89,12 +89,11 @@ void GridSystem::build() {
   GridNodeConfig node_config = config_.node;
   node_config.kind = config_.kind;
   if (config_.light_maintenance) apply_light_maintenance(&node_config);
+  // Stats-only liveness ledger: every node classifies its evictions as false
+  // positives / late detections (GridNodeStats::fp_evictions etc.). Only
+  // crash_node/restart_node write down_since_, and several shards forbid
+  // both, so worker threads read it without a race.
   down_since_.assign(workload_.spec.node_count, -1.0);
-  if (config_.track_liveness) {
-    node_config.liveness_oracle = [this](net::NodeAddr a) {
-      return a < down_since_.size() ? down_since_[a] : -1.0;
-    };
-  }
 
   if (config_.obs.trace) {
     trace_ = std::make_unique<obs::TraceBus>(simulator(),
@@ -221,7 +220,8 @@ void GridSystem::populate(const GridNodeConfig& node_config,
     nodes_.push_back(std::make_unique<GridNode>(
         *nets_[shard_of[i]], static_cast<std::uint32_t>(i),
         node_guid(config_.seed, i), workload_.node_caps[i], node_rng.uniform(),
-        node_config, &central_, collector_of(shard_of[i]), node_rng.fork(i)));
+        node_config, &central_, collector_of(shard_of[i]), &down_since_,
+        node_rng.fork(i)));
     // Metrics and the central scheduler address nodes by network address;
     // registering nodes first makes address == index.
     PGRID_ASSERT(nodes_.back()->addr() == i);
@@ -530,7 +530,6 @@ GridNodeStats GridSystem::aggregate_node_stats() const {
     total.walks_failed += s.walks_failed;
     total.fp_evictions += s.fp_evictions;
     total.fn_evictions += s.fn_evictions;
-    total.owner_audit_repairs += s.owner_audit_repairs;
     for (double x : s.detection_latency.values()) {
       total.detection_latency.add(x);
     }

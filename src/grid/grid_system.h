@@ -45,10 +45,6 @@ struct GridConfig {
   /// Skip the automatic arrival-time schedule: jobs are released through
   /// submit_job() instead (used by the DAG runner, §5 future work).
   bool manual_submission = false;
-  /// Inject a stats-only liveness oracle into every node so eviction
-  /// decisions can be classified as false positives / late detections
-  /// (GridNodeStats::fp_evictions etc.). Purely observational.
-  bool track_liveness = false;
   /// Observability: event tracing, time-series sampling, output paths.
   obs::ObsConfig obs;
   /// Worker shards (DESIGN.md §17). 0 (default) and 1 both run one shard
@@ -243,9 +239,10 @@ class GridSystem {
   /// Atomic: client on_terminal callbacks fire on shard worker threads with
   /// several shards (relaxed increments commute; one shard's cost is nil).
   std::atomic<std::uint64_t> terminal_jobs_{0};
-  /// Ground-truth liveness ledger for the injected oracle: seconds at which
-  /// each node address went down, or -1 while it is up. Maintained on every
-  /// crash/restart (cheap assignments; consulted only via the oracle).
+  /// Ground-truth liveness ledger every GridNode holds a pointer to: seconds
+  /// at which each node address went down, or -1 while it is up. Maintained
+  /// on every crash/restart (cheap assignments; read only for eviction
+  /// stats).
   std::vector<double> down_since_;
   double last_arrival_sec_ = 0.0;
   double latest_release_sec_ = 0.0;

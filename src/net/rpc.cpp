@@ -6,16 +6,14 @@
 
 namespace pgrid::net {
 
-RetryPolicy RetryPolicy::from_timeout(sim::SimTime timeout, int attempts) {
-  RetryPolicy policy;
-  policy.base_timeout = timeout;
-  policy.timeout_factor = 2.0;
-  policy.max_timeout = timeout * 4;
-  policy.base_backoff = sim::SimTime::nanos(timeout.ns() / 4);
-  policy.max_backoff = timeout;
-  policy.attempts = attempts;
-  return policy;
-}
+namespace {
+
+// call_retry's schedule (rpc.h), derived from the caller's one timeout.
+constexpr double kTimeoutFactor = 2.0;
+constexpr int kMaxTimeoutMultiple = 4;
+constexpr std::int64_t kMinPauseDivisor = 4;
+
+}  // namespace
 
 RpcEndpoint::RpcEndpoint(Network& network, NodeAddr self)
     : net_(network),
@@ -94,9 +92,9 @@ struct RpcEndpoint::RetryState {
   NodeAddr to = kNullAddr;
   std::function<MessagePtr()> make;
   Continuation k;
-  RetryPolicy policy;
+  sim::SimTime timeout;
+  int attempts = 1;
   int attempt = 0;
-  sim::SimTime started;
   sim::SimTime prev_backoff;
   /// Caller's span: re-installed for every attempt so retransmissions fired
   /// from backoff timers stay inside the sampled trace.
@@ -104,18 +102,18 @@ struct RpcEndpoint::RetryState {
 };
 
 void RpcEndpoint::call_retry(NodeAddr to, std::function<MessagePtr()> make,
-                             const RetryPolicy& policy, Continuation k) {
+                             sim::SimTime timeout, int attempts,
+                             Continuation k) {
   PGRID_EXPECTS(make != nullptr);
   PGRID_EXPECTS(k != nullptr);
-  PGRID_EXPECTS(policy.attempts >= 1);
-  PGRID_EXPECTS(policy.timeout_factor >= 1.0);
+  PGRID_EXPECTS(attempts >= 1);
   auto st = std::make_shared<RetryState>();
   st->to = to;
   st->make = std::move(make);
   st->k = std::move(k);
-  st->policy = policy;
-  st->started = net_.simulator().now();
-  st->prev_backoff = policy.base_backoff;
+  st->timeout = timeout;
+  st->attempts = attempts;
+  st->prev_backoff = sim::SimTime::nanos(timeout.ns() / kMinPauseDivisor);
   if (obs::TraceBus* bus = net_.trace(); bus != nullptr) {
     st->ctx = bus->current();
   }
@@ -124,37 +122,23 @@ void RpcEndpoint::call_retry(NodeAddr to, std::function<MessagePtr()> make,
 
 void RpcEndpoint::retry_attempt(std::shared_ptr<RetryState> st) {
   obs::SpanScope span_scope(net_.trace(), st->ctx);
-  const RetryPolicy& policy = st->policy;
-  sim::SimTime timeout = sim::SimTime::nanos(static_cast<std::int64_t>(
-      static_cast<double>(policy.base_timeout.ns()) *
-      std::pow(policy.timeout_factor, st->attempt)));
-  timeout = std::min(timeout, policy.max_timeout);
-  if (policy.deadline > sim::SimTime::zero()) {
-    // The deadline budget bounds the whole exchange: the final attempt's
-    // timeout shrinks to fit, and an exhausted budget fails immediately.
-    const sim::SimTime elapsed = net_.simulator().now() - st->started;
-    const sim::SimTime remaining = policy.deadline - elapsed;
-    if (remaining <= sim::SimTime::zero()) {
-      st->k(nullptr);
-      return;
-    }
-    timeout = std::min(timeout, remaining);
-  }
+  const sim::SimTime timeout = std::min(
+      sim::SimTime::nanos(static_cast<std::int64_t>(
+          static_cast<double>(st->timeout.ns()) *
+          std::pow(kTimeoutFactor, st->attempt))),
+      st->timeout * kMaxTimeoutMultiple);
 
   call(st->to, st->make(), timeout, [this, st](MessagePtr reply) mutable {
-    const RetryPolicy& p = st->policy;
-    const bool budget_left =
-        p.deadline <= sim::SimTime::zero() ||
-        net_.simulator().now() - st->started < p.deadline;
-    if (reply != nullptr || st->attempt + 1 >= p.attempts || !budget_left) {
+    if (reply != nullptr || st->attempt + 1 >= st->attempts) {
       st->k(std::move(reply));
       return;
     }
     ++st->attempt;
-    // Decorrelated jitter: pause ~ U(base, 3 * previous pause), capped.
-    const std::int64_t lo = p.base_backoff.ns();
+    // Decorrelated jitter: pause ~ U(timeout/4, 3 × previous pause), capped
+    // at the timeout.
+    const std::int64_t lo = st->timeout.ns() / kMinPauseDivisor;
     const std::int64_t hi =
-        std::min(p.max_backoff.ns(), std::max(lo, st->prev_backoff.ns() * 3));
+        std::min(st->timeout.ns(), std::max(lo, st->prev_backoff.ns() * 3));
     const sim::SimTime pause =
         sim::SimTime::nanos(lo >= hi ? lo : rng_.range(lo, hi));
     st->prev_backoff = pause;

@@ -20,31 +20,6 @@
 
 namespace pgrid::net {
 
-/// Retransmission policy for call_retry: exponentially growing per-attempt
-/// timeouts, decorrelated-jitter pauses between attempts (so concurrent
-/// callers hitting the same dead peer do not retransmit in lockstep), and an
-/// optional per-call deadline budget across all attempts.
-struct RetryPolicy {
-  /// Timeout of attempt i is min(base_timeout * timeout_factor^i,
-  /// max_timeout) — the classic growing RTO.
-  sim::SimTime base_timeout = sim::SimTime::seconds(2.0);
-  double timeout_factor = 2.0;
-  sim::SimTime max_timeout = sim::SimTime::seconds(16.0);
-  /// Pause before retransmit i+1 ~ U(base_backoff, 3 * previous pause),
-  /// capped at max_backoff ("decorrelated jitter").
-  sim::SimTime base_backoff = sim::SimTime::millis(250);
-  sim::SimTime max_backoff = sim::SimTime::seconds(4.0);
-  int attempts = 3;
-  /// Total budget from the first transmission; once exceeded the call fails
-  /// even if attempts remain. zero() disables the deadline.
-  sim::SimTime deadline = sim::SimTime::zero();
-
-  /// The policy the legacy (timeout, attempts) signature maps onto: growing
-  /// timeouts and jittered pauses derived from the single timeout value.
-  [[nodiscard]] static RetryPolicy from_timeout(sim::SimTime timeout,
-                                                int attempts);
-};
-
 class RpcEndpoint {
  public:
   /// Continuation: reply message, or nullptr on timeout.
@@ -61,19 +36,15 @@ class RpcEndpoint {
   std::uint64_t call(NodeAddr to, MessagePtr request, sim::SimTime timeout,
                      Continuation k);
 
-  /// Like call(), but retransmit under `policy` before reporting failure:
-  /// one lost datagram must not condemn a live peer. `make` builds a fresh
-  /// copy of the request for each transmission.
+  /// Like call(), but make up to `attempts` transmissions before reporting
+  /// failure: one lost datagram must not condemn a live peer. `make` builds
+  /// a fresh copy of the request for each transmission. Attempt i waits
+  /// min(timeout × 2^i, 4 × timeout) (the classic growing RTO), and the
+  /// pause before a retransmit is drawn from U(timeout/4, 3 × previous
+  /// pause), capped at `timeout` ("decorrelated jitter"), so concurrent
+  /// callers hitting the same dead peer do not retransmit in lockstep.
   void call_retry(NodeAddr to, std::function<MessagePtr()> make,
-                  const RetryPolicy& policy, Continuation k);
-
-  /// Legacy fixed-timeout signature; maps onto RetryPolicy::from_timeout,
-  /// so retransmits back off exponentially with jitter.
-  void call_retry(NodeAddr to, std::function<MessagePtr()> make,
-                  sim::SimTime timeout, int attempts, Continuation k) {
-    call_retry(to, std::move(make), RetryPolicy::from_timeout(timeout, attempts),
-               std::move(k));
-  }
+                  sim::SimTime timeout, int attempts, Continuation k);
 
   /// Send a reply correlated with `request` back to `to`.
   void reply(NodeAddr to, const Message& request, MessagePtr response);

@@ -65,10 +65,9 @@ enum class EventKind : std::uint8_t {
   kFaultPartitionHeal, // a: partition id
   kFaultGray,          // tag: 1 = set, 0 = cleared; v: latency scale
   kCrashBurst,         // a: members crashed
-  // self-healing (PR 7)
+  // self-healing
   kPhiSuspect,         // tag: protocol (1 chord, 2 can, 3 rntree); v: φ
-  kAntiEntropyRepair,  // tag: 1 owner audit, 2 can gap, 3 succ refresh,
-                       // 4 token regenerated; a: job seq / peer
+  kAntiEntropyRepair,  // tag: 2 can gap claim, 3 succ refresh (a: backup)
   // causal spans (trace/span fields identify the span; see TraceContext)
   kSpanBegin,  // message handed to the network / root request started
   kSpanEnd,    // message delivered / root request finished

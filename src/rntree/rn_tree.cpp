@@ -63,7 +63,6 @@ void RnTreeService::stop() {
   rpc_.cancel_all();
   for (auto& [id, pending] : pending_searches_) {
     net_.simulator().cancel(pending.timeout_event);
-    net_.simulator().cancel(pending.lease_event);
   }
   pending_searches_.clear();
   children_.clear();
@@ -200,75 +199,19 @@ void RnTreeService::search(const Query& query, std::uint32_t k,
 
   PendingSearch pending;
   pending.cb = std::move(cb);
-  pending.query = query;
-  pending.k = k;
-  pending.deadline = net_.simulator().now() + config_.search_timeout;
-  pending.lease_retries_left = config_.lease_retries;
+  // A token lost with no hop observing it (the holder crashed after acking
+  // custody) ends here; the caller's match retry starts a fresh search.
   pending.timeout_event =
       net_.simulator().schedule_in(config_.search_timeout, [this, id] {
         auto it = pending_searches_.find(id);
         if (it == pending_searches_.end()) return;
         SearchCallback callback = std::move(it->second.cb);
-        net_.simulator().cancel(it->second.lease_event);
         pending_searches_.erase(it);
         ++stats_.searches_timed_out;
         callback({}, 0);
       });
-  if (config_.token_lease > sim::SimTime::zero()) {
-    pending.lease_event = net_.simulator().schedule_in(
-        config_.token_lease, [this, id] { regenerate_token(id); });
-  }
   pending_searches_.emplace(id, std::move(pending));
 
-  process_token(std::move(token));
-}
-
-void RnTreeService::regenerate_token(std::uint64_t old_id) {
-  auto it = pending_searches_.find(old_id);
-  if (it == pending_searches_.end() || !running_) return;
-  PendingSearch pending = std::move(it->second);
-  pending_searches_.erase(it);
-  net_.simulator().cancel(pending.timeout_event);
-  const auto now = net_.simulator().now();
-  const auto remaining = pending.deadline - now;
-  if (pending.lease_retries_left <= 0 ||
-      remaining <= sim::SimTime::zero()) {
-    // Lease budget exhausted: concede now instead of idling to the deadline.
-    ++stats_.searches_timed_out;
-    SearchCallback callback = std::move(pending.cb);
-    callback({}, 0);
-    return;
-  }
-  --pending.lease_retries_left;
-  ++stats_.tokens_regenerated;
-  PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kAntiEntropyRepair,
-                    chord_.addr(), obs::kNoActor, 4, old_id, 0.0);
-
-  // Re-key the pending entry under a fresh search id: the seen-token ring
-  // dedups on (initiator, search_id, hops), and a same-id rewalk retraces
-  // the deterministic descent with identical hop counts — it would be
-  // swallowed as a network duplicate at the first node it revisits.
-  const std::uint64_t id = next_search_id_++;
-  pending.timeout_event = net_.simulator().schedule_in(remaining, [this, id] {
-    auto pit = pending_searches_.find(id);
-    if (pit == pending_searches_.end()) return;
-    SearchCallback callback = std::move(pit->second.cb);
-    net_.simulator().cancel(pit->second.lease_event);
-    pending_searches_.erase(pit);
-    ++stats_.searches_timed_out;
-    callback({}, 0);
-  });
-  const auto lease = std::min(config_.token_lease, remaining);
-  pending.lease_event = net_.simulator().schedule_in(
-      lease, [this, id] { regenerate_token(id); });
-
-  auto token = std::make_unique<TokenPass>();
-  token->search_id = id;
-  token->initiator = chord_.self_peer();
-  token->query = pending.query;
-  token->k = pending.k;
-  token->max_visits = config_.max_visits;
-  pending_searches_.emplace(id, std::move(pending));
   process_token(std::move(token));
 }
 
@@ -430,7 +373,6 @@ void RnTreeService::on_search_result(const SearchResult& msg) {
   if (it == pending_searches_.end()) return;  // timed out already
   SearchCallback callback = std::move(it->second.cb);
   net_.simulator().cancel(it->second.timeout_event);
-  net_.simulator().cancel(it->second.lease_event);
   pending_searches_.erase(it);
   ++stats_.searches_completed;
   stats_.search_hops.add(msg.hops);

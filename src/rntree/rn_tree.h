@@ -43,14 +43,6 @@ struct RnTreeConfig {
   /// Deadline for a whole search before reporting what we have (nothing).
   sim::SimTime search_timeout = sim::SimTime::seconds(30.0);
   std::uint32_t max_visits = 64;
-  /// Search-token lease (zero = off). A token can be lost without any hop
-  /// observing it (the holder crashes after acking custody); the initiator
-  /// then waits out the full search_timeout for nothing. With a lease, an
-  /// unanswered search is regenerated under a fresh search id after this
-  /// long, resuming the walk from the initiator.
-  sim::SimTime token_lease = sim::SimTime::zero();
-  /// Regenerations per search before giving up to the final timeout.
-  int lease_retries = 2;
 };
 
 struct RnTreeStats {
@@ -60,8 +52,6 @@ struct RnTreeStats {
   std::uint64_t tokens_processed = 0;
   /// Duplicate token instances suppressed (network-level duplication).
   std::uint64_t tokens_deduplicated = 0;
-  /// Lost search tokens re-issued by the lease (anti-entropy).
-  std::uint64_t tokens_regenerated = 0;
   /// Suspicion-rounds: children past the fixed expiry retained by φ.
   std::uint64_t suspicions = 0;
   RunningStats search_hops;
@@ -145,12 +135,6 @@ class RnTreeService {
   struct PendingSearch {
     SearchCallback cb;
     sim::EventId timeout_event = sim::kInvalidEvent;
-    // Everything needed to re-issue the token if the lease expires.
-    Query query{};
-    std::uint32_t k = 1;
-    sim::SimTime deadline;               // absolute search timeout instant
-    sim::EventId lease_event = sim::kInvalidEvent;
-    int lease_retries_left = 0;
   };
 
   /// True iff `key` lies in (predecessor, self]: this node is its Chord
@@ -161,11 +145,6 @@ class RnTreeService {
   /// AggAck marks the parent stale for the next round.
   void push_aggregate();
   void expire_children();
-  /// Token-lease expiry for `old_id`: the walk went silent with the token
-  /// (holder crashed after acking custody). Re-issue it under a fresh
-  /// search id — the seen-token dedup ring would swallow a same-id rewalk —
-  /// keeping the original callback and absolute deadline.
-  void regenerate_token(std::uint64_t old_id);
 
   /// Process the token at this node: record self if satisfying, then move
   /// it to the next unvisited qualifying child, else to the parent, else

@@ -315,7 +315,6 @@ std::string ChaosConfig::replay_command() const {
   // byte-identical to what the 24-run matrix always printed.
   if (enable_correlated) cmd += " --correlated";
   if (enable_flapping) cmd += " --flapping";
-  if (self_healing) cmd += " --self-healing";
   return cmd;
 }
 
@@ -338,15 +337,11 @@ std::string ChaosReport::summary() const {
       static_cast<unsigned long long>(stats.duplicated),
       static_cast<unsigned long long>(stats.reordered),
       stats.sim_duration_sec);
-  // Appended only in self-healing mode: the default matrix's summary lines
-  // stay byte-identical.
-  if (config.self_healing) {
-    line += format(" phi(susp=%llu fp=%llu fn=%llu) repairs=%llu",
-                   static_cast<unsigned long long>(stats.suspicions),
-                   static_cast<unsigned long long>(stats.fp_evictions),
-                   static_cast<unsigned long long>(stats.fn_evictions),
-                   static_cast<unsigned long long>(stats.repairs));
-  }
+  line += format(" phi(susp=%llu fp=%llu fn=%llu) repairs=%llu",
+                 static_cast<unsigned long long>(stats.suspicions),
+                 static_cast<unsigned long long>(stats.fp_evictions),
+                 static_cast<unsigned long long>(stats.fn_evictions),
+                 static_cast<unsigned long long>(stats.repairs));
   return line;
 }
 
@@ -390,12 +385,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   gcfg.client.resubmit_base_sec = 60.0;
   gcfg.client.resubmit_runtime_factor = 2.0;
   gcfg.obs.trace = cfg.trace;
-  if (cfg.self_healing) {
-    gcfg.node.audit_period = SimTime::seconds(15.0);       // owner audits
-    gcfg.node.can.audit_period = SimTime::seconds(15.0);   // tiling audits
-    gcfg.node.rntree.token_lease = SimTime::seconds(10.0); // search leases
-    gcfg.track_liveness = true;  // classify evictions as FP / late
-  }
 
   grid::GridSystem system(gcfg, workload::generate(spec));
   system.build();
@@ -535,7 +524,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   const grid::GridNodeStats agg = system.aggregate_node_stats();
   st.fp_evictions = agg.fp_evictions;
   st.fn_evictions = agg.fn_evictions;
-  st.repairs = agg.owner_audit_repairs;
   for (std::size_t i = 0; i < system.node_count(); ++i) {
     grid::GridNode& n = system.node(i);
     if (n.chord() != nullptr) {
@@ -548,7 +536,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
     }
     if (n.rntree() != nullptr) {
       st.suspicions += n.rntree()->stats().suspicions;
-      st.repairs += n.rntree()->stats().tokens_regenerated;
     }
   }
   return report;

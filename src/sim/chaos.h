@@ -16,6 +16,11 @@
 //      jobs are terminal.
 // Any violation is reported with a one-line replay command that reproduces
 // the failing schedule from its seed.
+//
+// Self-healing has one fixed path, with no switch: φ-accrual detectors on
+// every layer, the CAN gap check in every update round, and the liveness
+// oracle that classifies evictions. Every summary line ends with their
+// counters: phi(susp= fp= fn=) repairs=.
 
 #include <cstdint>
 #include <string>
@@ -60,12 +65,6 @@ struct ChaosConfig {
   /// through short crash/recover dwells for the round's duration.
   bool enable_flapping = false;
 
-  /// Self-healing mode: enable the online anti-entropy audits (owner
-  /// audits, CAN gap audits, RN-tree token leases) and the liveness oracle
-  /// that classifies evictions as false positives / late detections.
-  /// φ-accrual liveness runs on every layer in every mode.
-  bool self_healing = false;
-
   /// Record a trace; on violation it is exported to trace_jsonl_path
   /// (when non-empty) for post-mortem.
   bool trace = false;
@@ -97,12 +96,12 @@ struct ChaosStats {
   std::uint64_t batch_parts_sent = 0;
   std::uint64_t batches_delivered = 0;
   double sim_duration_sec = 0.0;
-  // Self-healing instrumentation. The eviction classes need the liveness
-  // oracle, which only self_healing attaches.
-  std::uint64_t suspicions = 0;       // φ downgrades across all layers
-  std::uint64_t repairs = 0;          // anti-entropy repairs across layers
-  std::uint64_t fp_evictions = 0;     // evicted-but-alive (needs oracle)
-  std::uint64_t fn_evictions = 0;     // later than a fixed deadline would be
+  // Self-healing instrumentation. GridSystem's liveness oracle classifies
+  // the grid layer's evictions.
+  std::uint64_t suspicions = 0;    // φ downgrades across all layers
+  std::uint64_t repairs = 0;       // Chord succ refreshes + CAN gap claims
+  std::uint64_t fp_evictions = 0;  // evicted-but-alive
+  std::uint64_t fn_evictions = 0;  // later than a fixed deadline would be
 };
 
 struct ChaosReport {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "can/space.h"
@@ -161,6 +162,35 @@ TEST(CanJoin, ProtocolJoinSplitsOwnersZone) {
   EXPECT_TRUE(joiner.node().owns(joiner.node().rep_point()));
   EXPECT_TRUE(fx.space.zones_tile_space());
   EXPECT_FALSE(joiner.node().neighbors().empty());
+}
+
+// A zone one ulp wide is left where a gap claim or a conflict carve meets a
+// boundary computed another way (here 0.3 against 0.1 + 0.2), and resource
+// ladder rungs sit on exactly such boundaries, so joiners land in it. Its
+// centre rounds onto its upper face, outside it: the split must keep a
+// point the zone does contain.
+TEST(CanJoin, JoinIntoUlpWideZoneSplitsIt) {
+  Fixture fx{10};
+  const double lo = 0.3;
+  const double hi = 0.1 + 0.2;
+  ASSERT_EQ(std::nextafter(lo, 1.0), hi);
+  auto& owner = fx.space.add_host(Guid::of(std::uint64_t{1}),
+                                  Point{0.5, 0.5, 0.5, 0.5});
+  owner.node().install_state(
+      {Zone(Point{0.0, 0.0, 0.0, 0.0}, Point{1.0, lo, 1.0, 1.0}),
+       Zone(Point{0.0, lo, 0.0, 0.0}, Point{1.0, hi, 1.0, 1.0}),
+       Zone(Point{0.0, hi, 0.0, 0.0}, Point{1.0, 1.0, 1.0, 1.0})},
+      {});
+  auto& joiner = fx.space.add_host(Guid::of(std::uint64_t{2}),
+                                   Point{0.5, lo, 0.5, 0.5});
+  bool ok = false;
+  joiner.node().join(Peer{owner.node().addr(), owner.node().id()},
+                     [&](bool r) { ok = r; });
+  fx.settle(30);
+  ASSERT_TRUE(ok);
+  EXPECT_TRUE(joiner.node().owns(joiner.node().rep_point()));
+  EXPECT_TRUE(owner.node().owns(owner.node().rep_point()));
+  EXPECT_TRUE(fx.space.zones_tile_space());
 }
 
 TEST(CanJoin, SequentialProtocolJoinsBuildWholeSpace) {

@@ -1,5 +1,6 @@
 // CAN under failures: takeover reclaims dead zones, routing recovers,
-// zone merge-on-takeover, crashed node rejoin.
+// zone merge-on-takeover, crashed node rejoin, and the gap check closes a
+// hole no takeover reaches.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,15 @@ struct Fixture {
     space.host(host).node().route(target, [&](Peer o, int) { owner = o; });
     settle(180);
     return owner;
+  }
+
+  /// Live nodes whose zones contain `p`.
+  int live_owners(const Point& p) const {
+    int owners = 0;
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      if (!space.crashed(i) && space.host(i).node().owns(p)) ++owners;
+    }
+    return owners;
   }
 
   /// Total volume owned by live nodes.
@@ -188,6 +198,64 @@ TEST(CanPartitionHeal, OneWayCutReconcilesToo) {
   fx.settle(240);
   EXPECT_TRUE(fx.space.zones_tile_space());
   EXPECT_NEAR(fx.live_volume(), 1.0, 1e-9);
+}
+
+// A correlated crash of a node and every one of its neighbors leaves the
+// node's zone owned by nobody: the survivors only knew (and took over) the
+// dead neighbors, so no timeout ever fires for the zone beyond them. The gap
+// check in each update round finds the uncovered face, routes to it, finds
+// no owner, and claims the hole.
+TEST(CanGapCheck, InteriorHoleIsClaimedAfterCorrelatedCrash) {
+  Fixture fx{11};
+  fx.build(300);
+  // An interior node: no face of its zone on the boundary of the cube.
+  std::size_t center = fx.space.size();
+  for (std::size_t i = 0; i < fx.space.size() && center == fx.space.size();
+       ++i) {
+    const CanNode& node = fx.space.host(i).node();
+    bool interior = node.zones().size() == 1;
+    for (std::size_t d = 0; interior && d < node.zones().front().dims(); ++d) {
+      interior = node.zones().front().lo()[d] > 0.0 &&
+                 node.zones().front().hi()[d] < 1.0;
+    }
+    if (interior) center = i;
+  }
+  ASSERT_LT(center, fx.space.size()) << "no interior zone";
+  std::vector<std::size_t> victims{center};
+  for (const auto& [addr, ns] : fx.space.host(center).node().neighbors()) {
+    for (std::size_t i = 0; i < fx.space.size(); ++i) {
+      if (fx.space.host(i).addr() == addr) victims.push_back(i);
+    }
+  }
+  ASSERT_GT(victims.size(), 2u);
+  const Point hole = fx.space.host(center).node().zones().front().center();
+  for (std::size_t v : victims) fx.space.crash(v);
+
+  // 30 update periods (2 s each) for detection, takeover and gap claims;
+  // every sample is owned once after 12.
+  fx.settle(60);
+  EXPECT_EQ(fx.live_owners(hole), 1);
+  for (int t = 0; t < 2000; ++t) {
+    const Point p = random_point(fx.rng, 4);
+    ASSERT_EQ(fx.live_owners(p), 1) << "sample " << t;
+  }
+  std::uint64_t gap_repairs = 0;
+  for (std::size_t i = 0; i < fx.space.size(); ++i) {
+    gap_repairs += fx.space.host(i).node().stats().gap_repairs;
+  }
+  EXPECT_GT(gap_repairs, 0u);
+}
+
+// A whole tiling sends nothing on the check's behalf: every face of every
+// zone is covered by a known neighbor, so no round starts a route.
+TEST(CanGapCheck, WholeTilingStartsNoRoute) {
+  Fixture fx{12};
+  fx.build(64);
+  fx.settle(60);
+  EXPECT_GT(fx.net.stats().messages_sent, 0u) << "no update round ran";
+  for (std::size_t i = 0; i < fx.space.size(); ++i) {
+    EXPECT_EQ(fx.space.host(i).node().stats().routes_started, 0u) << i;
+  }
 }
 
 TEST(CanTakeover, RouteDuringOutageEventuallyResolvesViaRetries) {

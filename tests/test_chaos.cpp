@@ -58,12 +58,20 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Range(1, 21)),
     cell_name);
 
+// Cells that ended with two live owners of one CAN point before the gap
+// check ran in every update round (DESIGN.md §15).
+INSTANTIATE_TEST_SUITE_P(
+    Regressions, ChaosMatrix,
+    testing::Values(KindSeed{MatchmakerKind::kCanBasic, 33},
+                    KindSeed{MatchmakerKind::kCanPush, 132}),
+    cell_name);
+
 // Extended matrix: topology-correlated crash bursts and join-leave flapping
-// added to the drawn fault classes, with the self-healing machinery
-// (φ-accrual liveness, owner audits, CAN gap audits, token leases) active.
-// The invariants do not weaken: exactly-once completion, overlay
-// re-convergence, and no monitor leaks must hold through arc/slab-wide
-// blackouts and rapid membership oscillation.
+// added to the drawn fault classes, against the same self-healing machinery
+// as every run (φ-accrual liveness, the CAN gap check). The invariants do
+// not weaken: exactly-once completion, overlay re-convergence, and no
+// monitor leaks must hold through arc/slab-wide blackouts and rapid
+// membership oscillation.
 class SelfHealingChaosMatrix : public testing::TestWithParam<KindSeed> {};
 
 TEST_P(SelfHealingChaosMatrix, InvariantsHoldUnderCorrelatedFaults) {
@@ -72,7 +80,6 @@ TEST_P(SelfHealingChaosMatrix, InvariantsHoldUnderCorrelatedFaults) {
   cfg.seed = static_cast<std::uint64_t>(std::get<1>(GetParam()));
   cfg.enable_correlated = true;
   cfg.enable_flapping = true;
-  cfg.self_healing = true;
   const sim::ChaosReport report = sim::run_chaos(cfg);
   EXPECT_TRUE(report.ok) << report.summary();
   for (const std::string& v : report.violations) {
@@ -96,13 +103,20 @@ INSTANTIATE_TEST_SUITE_P(
 // 132 and rn-tree 155 failed before every such site was seeded: two owner
 // monitors leaked and a CAN tiling broke. rn-tree 172 leaks a monitor if
 // the record a run node self-adopts as owner goes unseeded: nothing ever
-// evicts it after the job moves to another owner.
+// evicts it after the job moves to another owner. can 108 ended with two
+// owners of one CAN point when the gap check ran every 15 s instead of in
+// every update round. can-push 83 left a point with no owner while the gap
+// check probed only the first uncovered face: the faces of sliver zones
+// one ulp wide stay uncovered, and probing them every round starved the
+// real hole behind the node's other faces.
 INSTANTIATE_TEST_SUITE_P(
     Regressions, SelfHealingChaosMatrix,
     testing::Values(KindSeed{MatchmakerKind::kCanBasic, 106},
                     KindSeed{MatchmakerKind::kCanBasic, 132},
                     KindSeed{MatchmakerKind::kRnTree, 155},
-                    KindSeed{MatchmakerKind::kRnTree, 172}),
+                    KindSeed{MatchmakerKind::kRnTree, 172},
+                    KindSeed{MatchmakerKind::kCanBasic, 108},
+                    KindSeed{MatchmakerKind::kCanPush, 83}),
     cell_name);
 
 // Batched matrix: every maintenance round runs inside a batch scope, so
@@ -140,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
     cell_name);
 
 // The full standard matrix (24 cells: 3 kinds x seeds 1..8) plus the
-// extended self-healing matrix (12 cells: 3 kinds x seeds 1..4), run through
+// extended matrix (12 cells: 3 kinds x seeds 1..4), run through
 // parallel_for_cells and again serially: chaos runs are confined to their
 // worker thread (thread-local logger clock and message pool), so verdicts
 // and stats must be identical however cells map onto threads. Closes the
@@ -173,7 +187,6 @@ TEST(Chaos, ParallelMatrixVerdictsMatchSerial) {
     if (cells[i].extended) {
       cfg.enable_correlated = true;
       cfg.enable_flapping = true;
-      cfg.self_healing = true;
     }
     return sim::run_chaos(cfg);
   };
@@ -206,7 +219,6 @@ TEST(Chaos, ExtendedClassesAreDeterministic) {
   cfg.seed = 7;
   cfg.enable_correlated = true;
   cfg.enable_flapping = true;
-  cfg.self_healing = true;
   const sim::ChaosReport a = sim::run_chaos(cfg);
   const sim::ChaosReport b = sim::run_chaos(cfg);
   EXPECT_EQ(a.summary(), b.summary());
@@ -223,19 +235,15 @@ TEST(Chaos, ExtendedFlagsAppearInReplayCommand) {
   cfg.seed = 31;
   cfg.enable_correlated = true;
   cfg.enable_flapping = true;
-  cfg.self_healing = true;
   const std::string cmd = cfg.replay_command();
   EXPECT_NE(cmd.find("--correlated"), std::string::npos) << cmd;
   EXPECT_NE(cmd.find("--flapping"), std::string::npos) << cmd;
-  EXPECT_NE(cmd.find("--self-healing"), std::string::npos) << cmd;
   // Default config advertises none of them: existing replay commands keep
   // reproducing their original schedules.
   sim::ChaosConfig legacy;
   const std::string legacy_cmd = legacy.replay_command();
   EXPECT_EQ(legacy_cmd.find("--correlated"), std::string::npos) << legacy_cmd;
   EXPECT_EQ(legacy_cmd.find("--flapping"), std::string::npos) << legacy_cmd;
-  EXPECT_EQ(legacy_cmd.find("--self-healing"), std::string::npos)
-      << legacy_cmd;
 }
 
 TEST(Chaos, DeterministicReport) {

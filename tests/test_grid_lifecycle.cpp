@@ -159,14 +159,22 @@ TEST(GridLifecycle, CentralizedBalancesBetterThanRandom) {
   EXPECT_LT(central, random);
 }
 
+// Without faults every job executes exactly once and no recovery protocol
+// runs, over the overlays too: the owner/run pair stays where random walks
+// and CAN-push placed it. Moving an owner record while its job completes
+// would lose the JobDone, and the new owner would run the job again.
 TEST(GridLifecycle, NodeStatsAccumulate) {
-  GridSystem system(base_config(MatchmakerKind::kCentralized),
-                    tiny_workload());
-  system.run();
-  const GridNodeStats total = system.aggregate_node_stats();
-  EXPECT_EQ(total.jobs_executed, 60u);
-  EXPECT_EQ(total.owner_recoveries, 0u);  // no failures in this run
-  EXPECT_EQ(total.run_recoveries, 0u);
+  for (const MatchmakerKind kind :
+       {MatchmakerKind::kCentralized, MatchmakerKind::kRnTree,
+        MatchmakerKind::kCanPush}) {
+    GridSystem system(base_config(kind), tiny_workload());
+    system.run();
+    ASSERT_TRUE(system.finished()) << matchmaker_name(kind);
+    const GridNodeStats total = system.aggregate_node_stats();
+    EXPECT_EQ(total.jobs_executed, 60u) << matchmaker_name(kind);
+    EXPECT_EQ(total.owner_recoveries, 0u) << matchmaker_name(kind);
+    EXPECT_EQ(total.run_recoveries, 0u) << matchmaker_name(kind);
+  }
 }
 
 // Without churn every job starts exactly once, so the collector's per-node

@@ -212,8 +212,6 @@ TEST(GridRecovery, OwnerDeathRecoversUnderReorderedHeartbeats) {
 // genuinely crashed node is not a false positive.
 TEST(GridRecovery, PhiDetectorDrivesOwnerRecovery) {
   GridConfig config = recovery_config(MatchmakerKind::kRnTree, 9);
-  config.node.audit_period = sim::SimTime::seconds(15.0);
-  config.track_liveness = true;
   GridSystem system(config, recovery_workload(9, 10, 6, 300.0));
   system.run_for(40.0);
 
@@ -241,7 +239,6 @@ TEST(GridRecovery, PhiDetectorDrivesOwnerRecovery) {
 TEST(GridRecovery, AdoptedOwnerSurvivesOneMissedAck) {
   GridConfig config = recovery_config(MatchmakerKind::kRnTree, 2);
   config.node.heartbeat_miss_threshold = 3;  // 9 s cold-start deadline
-  config.track_liveness = true;
   GridSystem system(config, recovery_workload(2, 10, 6, 300.0));
   system.run_for(40.0);
 

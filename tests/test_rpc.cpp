@@ -192,14 +192,10 @@ TEST_F(RpcTest, CallRetryOvercomesSustainedLoss) {
   constexpr int kCalls = 20;
   int ok = 0, failed = 0;
   for (int i = 0; i < kCalls; ++i) {
-    RetryPolicy policy;
-    policy.base_timeout = sim::SimTime::millis(50);
-    policy.base_backoff = sim::SimTime::millis(10);
-    policy.max_backoff = sim::SimTime::millis(50);
-    policy.attempts = 8;
     client.rpc.call_retry(
         server.rpc.self(), [i]() -> MessagePtr { return std::make_unique<Echo>(i); },
-        policy, [&](MessagePtr reply) { (reply != nullptr ? ok : failed)++; });
+        sim::SimTime::millis(50), 8,
+        [&](MessagePtr reply) { (reply != nullptr ? ok : failed)++; });
   }
   simulator.run();
   EXPECT_EQ(ok + failed, kCalls);
@@ -227,15 +223,11 @@ TEST_F(RpcTest, CallRetryDuplicatedRepliesFireContinuationOnce) {
 }
 
 TEST_F(RpcTest, CallRetryLateReplyToEarlierAttemptIsNotMisdelivered) {
-  // Round trip is 10ms; attempt 1 times out at 8ms, so its reply arrives
-  // while attempt 2 is outstanding. The stale reply must be swallowed and
+  // Round trip is 10ms; attempt 1 times out at 5.5ms and attempt 2 leaves
+  // after a pause of at most 3/4 of that (before 9.7ms), so attempt 1's
+  // reply arrives while attempt 2 is outstanding. Attempt 2 waits 11ms,
+  // longer than its round trip. The stale reply must be swallowed and
   // attempt 2's own reply must complete the call — exactly one firing.
-  RetryPolicy policy;
-  policy.base_timeout = sim::SimTime::millis(8);
-  policy.timeout_factor = 4.0;  // attempt 2 waits long enough
-  policy.base_backoff = sim::SimTime::millis(1);
-  policy.max_backoff = sim::SimTime::millis(1);
-  policy.attempts = 3;
   int transmissions = 0;
   int fired = 0;
   int got = -1;
@@ -244,7 +236,7 @@ TEST_F(RpcTest, CallRetryLateReplyToEarlierAttemptIsNotMisdelivered) {
                           ++transmissions;
                           return std::make_unique<Echo>(11);
                         },
-                        policy, [&](MessagePtr reply) {
+                        sim::SimTime::micros(5500), 3, [&](MessagePtr reply) {
                           ++fired;
                           ASSERT_NE(reply, nullptr);
                           got = msg_cast<Echo>(reply.get())->value;
@@ -256,49 +248,18 @@ TEST_F(RpcTest, CallRetryLateReplyToEarlierAttemptIsNotMisdelivered) {
   EXPECT_EQ(server.served, 2);  // both attempts reached the server
 }
 
-TEST_F(RpcTest, CallRetryDeadlineCutsAttemptsShort) {
-  server.mute = true;
-  RetryPolicy policy;
-  policy.base_timeout = sim::SimTime::millis(50);
-  policy.base_backoff = sim::SimTime::millis(10);
-  policy.max_backoff = sim::SimTime::millis(10);
-  policy.attempts = 10;
-  policy.deadline = sim::SimTime::millis(150);
-  int transmissions = 0;
-  bool failed = false;
-  const auto t0 = simulator.now();
-  client.rpc.call_retry(server.rpc.self(),
-                        [&]() -> MessagePtr {
-                          ++transmissions;
-                          return std::make_unique<Echo>(1);
-                        },
-                        policy,
-                        [&](MessagePtr reply) { failed = (reply == nullptr); });
-  simulator.run();
-  EXPECT_TRUE(failed);
-  EXPECT_LT(transmissions, 10);  // the budget, not the attempt count, ended it
-  EXPECT_GE(transmissions, 1);
-  // The call concluded within the deadline plus one attempt's timeout.
-  EXPECT_LE((simulator.now() - t0).sec(), 0.5);
-}
-
 TEST_F(RpcTest, CallRetryGapsGrowWithTheTimeout) {
-  // Fixed backoff isolates the exponential RTO: successive retransmission
-  // gaps must widen as the per-attempt timeout doubles.
+  // A pause never exceeds the timeout, so the doubling RTO dominates: gap i
+  // is timeout × 2^i plus a pause in [timeout/4, timeout], and successive
+  // retransmission gaps must widen until the RTO reaches its 4× cap.
   server.mute = true;
-  RetryPolicy policy;
-  policy.base_timeout = sim::SimTime::millis(50);
-  policy.timeout_factor = 2.0;
-  policy.base_backoff = sim::SimTime::millis(100);
-  policy.max_backoff = sim::SimTime::millis(100);
-  policy.attempts = 3;
   std::vector<sim::SimTime> sent;
   client.rpc.call_retry(server.rpc.self(),
                         [&]() -> MessagePtr {
                           sent.push_back(simulator.now());
                           return std::make_unique<Echo>(1);
                         },
-                        policy, [](MessagePtr) {});
+                        sim::SimTime::millis(50), 3, [](MessagePtr) {});
   simulator.run();
   ASSERT_EQ(sent.size(), 3u);
   const auto gap1 = sent[1] - sent[0];
