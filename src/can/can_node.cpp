@@ -55,7 +55,7 @@ void CanNode::create() {
   joining_ = false;
   zones_.assign(1, Zone::whole(config_.dims));
   neighbors_.clear();
-  note_zones_changed();
+  note_claim_changed();
   start_maintenance();
 }
 
@@ -67,7 +67,7 @@ void CanNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
   zones_.clear();
   neighbors_.clear();
   pending_grants_.clear();
-  note_zones_changed();
+  note_claim_changed();
   // Maintenance starts immediately, not on join success: if the join fails
   // (bootstrap unreachable behind a partition), do_update keeps retrying
   // instead of leaving a permanently zoneless orphan.
@@ -108,7 +108,7 @@ void CanNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
                   return;
                 }
                 zones_.assign(1, resp->zone);
-                note_zones_changed();
+                note_claim_changed();  // also covers the contacts below
                 for (const NeighborInfo& c : resp->contacts) {
                   if (c.peer.addr == addr()) continue;
                   NeighborState ns;
@@ -143,7 +143,7 @@ void CanNode::crash() {
   takeover_timers_.clear();
   zones_.clear();
   neighbors_.clear();
-  note_zones_changed();
+  note_claim_changed();
   lost_.clear();
   lost_cursor_ = 0;
   pending_grants_.clear();
@@ -156,7 +156,7 @@ void CanNode::install_state(std::vector<Zone> zones,
   running_ = true;
   zones_ = std::move(zones);
   neighbors_ = std::move(neighbors);
-  note_zones_changed();
+  note_claim_changed();
   for (auto& [addr, ns] : neighbors_) {
     ns.phi.heartbeat(net_.simulator().now());
   }
@@ -414,7 +414,7 @@ void CanNode::on_join(net::NodeAddr from, const JoinReq& req) {
   if (!zit->contains(keeper)) keeper = zit->lo();
   const auto [mine, theirs] = zit->split_for(keeper, req.point);
   *zit = mine;
-  note_zones_changed();  // also invalidates scan epochs for the new entry below
+  note_claim_changed();  // also covers the joiner's entry added below
 
   resp->accepted = true;
   resp->seq = update_seq_;
@@ -467,39 +467,41 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
   if (known != neighbors_.end() && msg.seq <= known->second.update_seq) {
     return;
   }
-  // The sender is demonstrably alive and talking: it is no longer "lost".
-  // (Does not touch neighbors_, so `known` stays valid.)
-  lost_.erase(std::remove_if(lost_.begin(), lost_.end(),
-                             [from](const Peer& p) { return p.addr == from; }),
-              lost_.end());
+  // The sender is demonstrably alive and talking. (forget_lost does not
+  // touch neighbors_, so `known` stays valid.)
+  forget_lost(from);
 
-  // Steady-state fast path. Periodic refreshes almost always repeat the
-  // sender's previous claim verbatim. When (a) the sender's zone version
-  // matches what we stored, (b) our own geometry epoch matches the entry's
-  // last quiet full scan — so neither our zones nor any neighbor's known
-  // zones/membership changed since — and (c) no takeover timer or join
-  // grant for the sender is outstanding, every geometry scan below reads
-  // the exact inputs of that previous scan and must reproduce its empty
-  // outcome: timers no-op, no grant to settle, no conflict, still abutting,
-  // no hints. Skip straight to the liveness/load refresh.
+  // Steady-state fast path. A full claim at the version we stored repeats
+  // the claim we hold (a lost-peer probe or suspicion re-link, say). While
+  // claim_scan_current holds, every check would reproduce its empty
+  // outcome, so only liveness and load are refreshed.
   if (known != neighbors_.end() &&
-      known->second.scan_epoch == geometry_epoch_ &&
-      known->second.zones_version == msg.zones_version() &&
-      takeover_timers_.empty() &&
-      pending_grants_.find(from) == pending_grants_.end()) {
+      known->second.claim_version == msg.claim_version() &&
+      claim_scan_current(from, known->second)) {
     NeighborState& ns = known->second;
     ns.load = msg.load();
     ns.phi.heartbeat(net_.simulator().now());
-    ns.their_neighbors = msg.neighbor_addrs();
     ns.update_seq = msg.seq;
     return;
   }
-  // A live update cancels any pending takeover of the sender...
+  check_claim(from, msg.sender(), msg.zones(), &msg);
+}
+
+bool CanNode::claim_scan_current(net::NodeAddr from,
+                                 const NeighborState& ns) const {
+  return ns.scan_epoch == geometry_epoch_ && takeover_timers_.empty() &&
+         pending_grants_.find(from) == pending_grants_.end();
+}
+
+void CanNode::check_claim(net::NodeAddr from, Peer sender,
+                          const std::vector<Zone>& zones,
+                          const ZoneUpdate* update) {
+  // A live claim cancels any pending takeover of the sender...
   if (auto it = takeover_timers_.find(from); it != takeover_timers_.end()) {
     net_.simulator().cancel(it->second);
     takeover_timers_.erase(it);
   }
-  // ...and an update overlapping a suspect's zones means someone (possibly
+  // ...and a claim overlapping a suspect's zones means someone (possibly
   // the sender) already took them over. Overlap, not equality: healthy
   // zones are disjoint, so any overlap implies a claim.
   for (auto it = takeover_timers_.begin(); it != takeover_timers_.end();) {
@@ -507,7 +509,7 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
     bool covered = false;
     if (suspect != neighbors_.end()) {
       for (const Zone& sz : suspect->second.zones) {
-        for (const Zone& mz : msg.zones()) {
+        for (const Zone& mz : zones) {
           if (sz.overlaps(mz)) {
             covered = true;
             break;
@@ -519,66 +521,35 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
     if (covered) {
       net_.simulator().cancel(it->second);
       neighbors_.erase(it->first);
-      ++geometry_epoch_;
+      note_claim_changed();
       it = takeover_timers_.erase(it);
     } else {
       ++it;
     }
   }
 
-  // A pending join grant is settled by the grantee's first update: covering
+  // A pending join grant is settled by the grantee's first claim: covering
   // zones confirm it, non-covering zones mean the joiner never installed it
   // (lost JoinResp, rejoined elsewhere) and we reclaim the stranded space.
-  settle_grant(from, msg);
+  settle_grant(from, zones);
 
   // Double-claim resolution (takeovers on both sides of a partition, or a
   // plain takeover race): the lower GUID keeps contested space.
-  if (!resolve_conflict(msg)) return;  // we lost everything and are rejoining
-
-  // Refresh or create the neighbor entry. Overlap counts as adjacency: it
-  // only happens mid-conflict, and dropping the link then would stall the
-  // resolution above.
-  bool abuts_me = false;
-  for (const Zone& mz : zones_) {
-    for (const Zone& oz : msg.zones()) {
-      if (mz.abuts(oz) || mz.overlaps(oz)) {
-        abuts_me = true;
-        break;
-      }
-    }
-    if (abuts_me) break;
-  }
-  if (!abuts_me) {
-    if (neighbors_.erase(from) != 0) ++geometry_epoch_;
-    return;
-  }
-  {
-    const auto prev = neighbors_.find(from);
-    if (prev == neighbors_.end() ||
-        prev->second.zones_version != msg.zones_version()) {
-      ++geometry_epoch_;  // new entry, or its stored zone set changes below
-    }
-  }
-  NeighborState& ns = neighbors_[from];
-  ns.id = msg.sender().id;
-  ns.zones = msg.zones();
-  ns.rep_point = msg.rep_point();
-  ns.load = msg.load();
-  ns.phi.heartbeat(net_.simulator().now());
-  ns.their_neighbors = msg.neighbor_addrs();
-  ns.update_seq = msg.seq;
-  ns.zones_version = msg.zones_version();
+  const Conflict conflict = resolve_conflict(sender, zones);
+  if (conflict == Conflict::kLostAll) return;  // rejoining through the winner
 
   // Transitive conflict discovery: if the sender's claim collides with
   // another neighbor's known zones, the two claimants may not know each
   // other (a double claim can sit between strangers after a heal).
-  // Introduce them; the pairwise rule does the rest. Healthy zone sets are
-  // disjoint, so this sends nothing in normal operation.
+  // Introduce them; the pairwise rule does the rest. The sender need not
+  // abut us: a claim inside a neighbor's zone may abut no zone of ours.
+  // Healthy zone sets are disjoint, so this sends nothing in normal
+  // operation.
   bool hints_sent = false;
   for (const auto& [oaddr, other] : neighbors_) {
     if (oaddr == from) continue;
     bool collide = false;
-    for (const Zone& sz : msg.zones()) {
+    for (const Zone& sz : zones) {
       for (const Zone& oz : other.zones) {
         if (sz.overlaps(oz)) {
           collide = true;
@@ -588,19 +559,63 @@ void CanNode::on_zone_update(net::NodeAddr from, const ZoneUpdate& msg) {
       if (collide) break;
     }
     if (collide) {
-      rpc_.send(oaddr, std::make_unique<NeighborHint>(msg.sender()));
+      rpc_.send(oaddr, std::make_unique<NeighborHint>(sender));
       hints_sent = true;
     }
   }
-  // A quiet scan (no hints) of the current geometry makes the next
-  // same-version update from this sender eligible for the fast path above.
-  // Hints must keep repeating while the collision stands, so they bar
-  // eligibility until something changes. The epoch is read after any bumps
-  // this handler did: the scans above ran against that post-change state.
-  ns.scan_epoch = hints_sent ? 0 : geometry_epoch_;
+
+  // Refresh or create the neighbor entry. Overlap counts as adjacency: it
+  // only happens mid-conflict, and dropping the link then would stall the
+  // resolution above.
+  bool abuts_me = false;
+  for (const Zone& mz : zones_) {
+    for (const Zone& oz : zones) {
+      if (mz.abuts(oz) || mz.overlaps(oz)) {
+        abuts_me = true;
+        break;
+      }
+    }
+    if (abuts_me) break;
+  }
+  if (!abuts_me) {
+    if (neighbors_.erase(from) != 0) note_claim_changed();
+    return;
+  }
+  NeighborState* ns = nullptr;
+  if (update != nullptr) {
+    const auto prev = neighbors_.find(from);
+    if (prev == neighbors_.end()) {
+      note_claim_changed();  // a new neighbor joins our advertised set
+    } else if (prev->second.zones != zones) {
+      ++geometry_epoch_;  // the entry's stored zone set changes below
+    }
+    ns = &neighbors_[from];
+    ns->id = sender.id;
+    ns->zones = zones;
+    ns->rep_point = update->rep_point();
+    ns->load = update->load();
+    ns->phi.heartbeat(net_.simulator().now());
+    ns->their_neighbors = update->neighbor_addrs();
+    ns->update_seq = update->seq;
+    ns->claim_version = update->claim_version();
+  } else {
+    const auto it = neighbors_.find(from);
+    if (it == neighbors_.end()) return;  // pruned above; its next hello pulls
+    ns = &it->second;
+  }
+
+  // A quiet scan (no hints, no answer) of the current geometry makes the
+  // next same-version claim from this sender, full or replayed, eligible
+  // for the fast path (claim_scan_current). Hints and answers must keep
+  // repeating while the collision stands, so they bar eligibility until
+  // something changes. The epoch is read after any bumps this call did:
+  // the scans above ran against that post-change state.
+  ns->scan_epoch =
+      hints_sent || conflict == Conflict::kAnswered ? 0 : geometry_epoch_;
 }
 
-void CanNode::settle_grant(net::NodeAddr from, const ZoneUpdate& msg) {
+void CanNode::settle_grant(net::NodeAddr from,
+                           const std::vector<Zone>& claim) {
   auto git = pending_grants_.find(from);
   if (git == pending_grants_.end()) return;
   // The claim must contain the whole granted zone. A grantee that
@@ -611,7 +626,7 @@ void CanNode::settle_grant(net::NodeAddr from, const ZoneUpdate& msg) {
   // false *reclaim*, by contrast, self-corrects through the double-claim
   // GUID rule, so when in doubt reclaim.
   bool covers = false;
-  for (const Zone& z : msg.zones()) {
+  for (const Zone& z : claim) {
     bool contains = true;
     for (std::size_t d = 0; d < config_.dims; ++d) {
       if (z.lo()[d] > git->second.lo()[d] ||
@@ -631,7 +646,7 @@ void CanNode::settle_grant(net::NodeAddr from, const ZoneUpdate& msg) {
     // all, the transient double claim resolves via the GUID rule.
     zones_.push_back(git->second);
     coalesce(zones_);
-    note_zones_changed();
+    note_claim_changed();
     pending_grants_.erase(git);
     prune_neighbors();
     broadcast_zone_update();
@@ -640,15 +655,15 @@ void CanNode::settle_grant(net::NodeAddr from, const ZoneUpdate& msg) {
   pending_grants_.erase(git);
 }
 
-bool CanNode::resolve_conflict(const ZoneUpdate& msg) {
-  if (!(msg.sender().id < id_)) return true;  // their problem, not ours
+CanNode::Conflict CanNode::resolve_conflict(Peer sender,
+                                            const std::vector<Zone>& claim) {
   // Disjoint fast path: subtracting a non-overlapping zone returns its
   // input unchanged, so when no claim of theirs overlaps any zone of ours —
-  // every healthy steady-state update from a lower-GUID neighbor — the
-  // allocating subtract machinery below would be an expensive no-op.
+  // every healthy steady-state claim — the allocating subtract machinery
+  // below would be an expensive no-op, and there is nothing to answer.
   bool any_overlap = false;
   for (const Zone& mine : zones_) {
-    for (const Zone& w : msg.zones()) {
+    for (const Zone& w : claim) {
       if (mine.overlaps(w)) {
         any_overlap = true;
         break;
@@ -656,12 +671,19 @@ bool CanNode::resolve_conflict(const ZoneUpdate& msg) {
     }
     if (any_overlap) break;
   }
-  if (!any_overlap) return true;
+  if (!any_overlap) return Conflict::kSettled;
+  if (!(sender.id < id_)) {
+    // We keep the contested space. The loser carves it out when it checks
+    // our claim; send it now rather than leave the loser to wait for our
+    // next full claim, which an unchanged claim never sends.
+    send_zone_update(sender.addr);
+    return Conflict::kAnswered;
+  }
   std::vector<Zone> kept;
   bool changed = false;
   for (const Zone& mine : zones_) {
     std::vector<Zone> pieces{mine};
-    for (const Zone& w : msg.zones()) {
+    for (const Zone& w : claim) {
       std::vector<Zone> next;
       for (const Zone& piece : pieces) {
         std::vector<Zone> sub = subtract(piece, w);
@@ -672,19 +694,19 @@ bool CanNode::resolve_conflict(const ZoneUpdate& msg) {
     if (pieces.size() != 1 || !(pieces.front() == mine)) changed = true;
     kept.insert(kept.end(), pieces.begin(), pieces.end());
   }
-  if (!changed) return true;
+  if (!changed) return Conflict::kSettled;
   coalesce(kept);
   zones_ = std::move(kept);
-  note_zones_changed();
+  note_claim_changed();
   if (zones_.empty()) {
     // The winner covers everything we held: start over as a fresh joiner
     // through it (a clean split, no further conflict).
-    join(msg.sender(), nullptr);
-    return false;
+    join(sender, nullptr);
+    return Conflict::kLostAll;
   }
   prune_neighbors();
   broadcast_zone_update();
-  return true;
+  return Conflict::kSettled;
 }
 
 void CanNode::on_dim_load(const DimLoadReport& msg) {
@@ -702,16 +724,16 @@ void CanNode::on_neighbor_hello(net::NodeAddr from, const NeighborHello& msg) {
   if (from == addr() || zones_.empty()) return;
   // A pull is always honored with a full snapshot. Requests never chain
   // (see below), so hello traffic per periodic contact stays bounded.
-  if (msg.request_full) send_zone_update(from);
+  if (msg.request_full()) send_zone_update(from);
   const auto it = neighbors_.find(from);
   if (it == neighbors_.end()) {
     // The sender believes we are neighbors but we hold no entry (pruned, or
-    // seeded state diverged): pull its full claim so on_zone_update's
+    // seeded state diverged): pull its full claim so check_claim's
     // adjacency logic can decide.
-    if (!msg.request_full) {
+    if (!msg.request_full()) {
       rpc_.send(from, std::make_unique<NeighborHello>(
-                          self_peer(), zones_version_, update_seq_, load_,
-                          /*request_full=*/true));
+                          claim_version_, update_seq_, load_,
+                          NeighborHello::kRequestFull));
     }
     return;
   }
@@ -731,13 +753,24 @@ void CanNode::on_neighbor_hello(net::NodeAddr from, const NeighborHello& msg) {
     net_.simulator().cancel(t->second);
     takeover_timers_.erase(t);
   }
-  if (!msg.request_full && ns.zones_version != msg.zones_version) {
-    // Our stored snapshot of the sender is stale — its full update was lost
-    // or predates us. Pull a resync now rather than waiting for the
-    // sender's forced refresh.
-    rpc_.send(from, std::make_unique<NeighborHello>(
-                        self_peer(), zones_version_, update_seq_, load_,
-                        /*request_full=*/true));
+  if (ns.claim_version != msg.claim_version) {
+    // Our stored claim of the sender is stale — its full update was lost
+    // or predates us. Pull a resync now.
+    if (!msg.request_full()) {
+      rpc_.send(from, std::make_unique<NeighborHello>(
+                          claim_version_, update_seq_, load_,
+                          NeighborHello::kRequestFull));
+    }
+  } else if (msg.replay()) {
+    // The stored claim is the sender's current one: run it through every
+    // check a full claim would. Conflict resolution, grant settlement and
+    // hints act only when a claim is checked, so without this a standing
+    // double claim that no full claim carries would never resolve.
+    forget_lost(from);
+    if (!claim_scan_current(from, ns)) {
+      const std::vector<Zone> zones = ns.zones;  // check_claim moves entries
+      check_claim(from, Peer{from, ns.id}, zones, nullptr);
+    }
   }
 }
 
@@ -784,18 +817,20 @@ void CanNode::do_update() {
 
   // Every neighbor is contacted every round: CAN-push matches on the
   // dim-load reports riding these contacts, and a sparser cadence measured
-  // far longer CAN-push waits (DESIGN.md §16).
+  // far longer CAN-push waits (DESIGN.md §16). A full claim goes only to a
+  // neighbor that does not hold our current version; every
+  // kFullRefreshContacts-th hello asks for a replay of the stored one.
   std::shared_ptr<const ZoneUpdate::Snapshot> snap;  // built on first use
   for (auto& [naddr, ns] : neighbors_) {
-    ++ns.contacts_since_full;
-    const bool full = ns.full_sent_version != zones_version_ ||
-                      ns.contacts_since_full >= kFullRefreshContacts;
-    if (full) {
+    if (ns.full_sent_version != claim_version_) {
       if (snap == nullptr) snap = make_zone_snapshot();
       send_zone_update(naddr, snap);  // resets the bookkeeping fields
     } else {
+      const bool replay = ++ns.contacts_since_check >= kFullRefreshContacts;
+      if (replay) ns.contacts_since_check = 0;
       rpc_.send(naddr, std::make_unique<NeighborHello>(
-                           self_peer(), zones_version_, update_seq_, load_));
+                           claim_version_, update_seq_, load_,
+                           replay ? NeighborHello::kReplay : 0));
     }
     // This neighbor's dim-load reports ride the same envelope. "Below
     // along d": some zone of theirs abuts some zone of ours with their high
@@ -844,7 +879,7 @@ void CanNode::do_update() {
   }
   if (reclaimed) {
     coalesce(zones_);
-    note_zones_changed();
+    note_claim_changed();
     prune_neighbors();
     broadcast_zone_update();
   }
@@ -869,6 +904,12 @@ void CanNode::do_update() {
   do_gap_audit();
 }
 
+void CanNode::forget_lost(net::NodeAddr peer) {
+  lost_.erase(std::remove_if(lost_.begin(), lost_.end(),
+                             [peer](const Peer& p) { return p.addr == peer; }),
+              lost_.end());
+}
+
 void CanNode::note_lost(Peer peer) {
   if (!peer.valid() || peer.addr == addr()) return;
   for (const Peer& p : lost_) {
@@ -883,7 +924,7 @@ std::shared_ptr<const ZoneUpdate::Snapshot> CanNode::make_zone_snapshot()
   auto snap = std::make_shared<ZoneUpdate::Snapshot>();
   snap->sender = self_peer();
   snap->zones = zones_;
-  snap->zones_version = zones_version_;
+  snap->claim_version = claim_version_;
   snap->rep_point = rep_point_;
   snap->load = load_;
   snap->neighbor_addrs.reserve(neighbors_.size());
@@ -899,12 +940,12 @@ void CanNode::send_zone_update(net::NodeAddr to) {
 
 void CanNode::send_zone_update(
     net::NodeAddr to, std::shared_ptr<const ZoneUpdate::Snapshot> snap) {
-  // Any full send — periodic, broadcast, suspicion re-link — marks the
-  // receiver as holding this snapshot version, so the next round's contact
-  // can downgrade to a hello.
+  // Any full send — periodic, broadcast, suspicion re-link, answer —
+  // marks the receiver as holding this claim version, so the next round's
+  // contact can downgrade to a hello.
   if (auto it = neighbors_.find(to); it != neighbors_.end()) {
-    it->second.full_sent_version = snap->zones_version;
-    it->second.contacts_since_full = 0;
+    it->second.full_sent_version = snap->claim_version;
+    it->second.contacts_since_check = 0;
   }
   auto msg = std::make_unique<ZoneUpdate>(std::move(snap));
   msg->seq = ++update_seq_;
@@ -941,7 +982,7 @@ void CanNode::prune_neighbors() {
       ++it;
     } else {
       it = neighbors_.erase(it);
-      ++geometry_epoch_;  // membership changed: cached quiet scans are stale
+      note_claim_changed();
     }
   }
 }
@@ -978,7 +1019,7 @@ void CanNode::execute_takeover(net::NodeAddr dead) {
   // likewise defers zone coalescing to a background reassignment.)
   std::vector<net::NodeAddr> to_notify = it->second.their_neighbors;
   for (const Zone& z : it->second.zones) zones_.push_back(z);
-  note_zones_changed();  // also invalidates scan epochs for the erase below
+  note_claim_changed();  // also covers the erase below
   note_lost(Peer{dead, it->second.id});
   neighbors_.erase(it);
   pending_grants_.erase(dead);  // its zone view included any grant
@@ -1129,7 +1170,7 @@ void CanNode::claim_gap(const Zone& z, std::size_t d, bool hi_side) {
   if (pieces.empty()) return;
   for (const Zone& piece : pieces) zones_.push_back(piece);
   coalesce(zones_);
-  note_zones_changed();
+  note_claim_changed();
   ++stats_.gap_repairs;
   PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kAntiEntropyRepair, addr(),
                     obs::kNoActor, 2, 0, static_cast<double>(zones_.size()));

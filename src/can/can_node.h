@@ -63,30 +63,36 @@ struct NeighborState {
   std::vector<net::NodeAddr> their_neighbors;
   /// Highest ZoneUpdate::seq seen from this neighbor (staleness guard).
   std::uint64_t update_seq = 0;
-  /// Sender-side zone version carried by the update that populated `zones`.
-  /// 0 = unknown (entry seeded from join contacts / install_state, which
-  /// carry no version); real versions start at 1, so 0 never matches.
-  std::uint64_t zones_version = 0;
-  /// Receiver-side geometry_epoch_ at the last *quiet* full scan of an
-  /// update from this neighbor (no conflict action, no hints sent).
-  /// 0 = never; epochs start at 1. See on_zone_update's fast path.
+  /// Sender-side claim version carried by the update that populated `zones`
+  /// and `their_neighbors`. 0 = unknown (entry seeded from join contacts /
+  /// install_state, which carry no version); real versions start at 1, so
+  /// 0 never matches.
+  std::uint64_t claim_version = 0;
+  /// Receiver-side geometry_epoch_ at the last *quiet* check_claim of this
+  /// neighbor's claim (no conflict answered, no hints sent). 0 = never;
+  /// epochs start at 1. See claim_scan_current.
   std::uint64_t scan_epoch = 0;
   /// The neighbor's liveness record: inter-arrival history of its updates
   /// and hellos. Staleness is judged against this learned cadence, so a
   /// congested-but-alive neighbor is only *suspected* (re-linked with a
   /// direct zone update) instead of taken over.
   PhiDetector phi;
-  /// Maintenance-round bookkeeping: our zones_version when this neighbor
-  /// last received a full snapshot from us (0 = never), and contacts since
-  /// that full — a periodic forced refresh bounds how long a lost full can
-  /// leave the neighbor stale.
+  /// Maintenance-round bookkeeping: our claim_version_ when this neighbor
+  /// last received a full claim from us (0 = never), and contacts since
+  /// that full claim or our last replay request, whichever came later.
   std::uint64_t full_sent_version = 0;
-  std::uint32_t contacts_since_full = 0;
+  std::uint32_t contacts_since_check = 0;
 };
 
 class CanNode {
  public:
   using RouteCallback = std::function<void(Peer owner, int hops)>;
+
+  /// Replay cadence: every this-many contacts without a full claim, the
+  /// hello asks the neighbor to re-run every full-claim check on its stored
+  /// copy of our claim (NeighborHello::kReplay). A standing double claim
+  /// that no full claim carries resolves within this many rounds.
+  static constexpr std::uint32_t kFullRefreshContacts = 4;
 
   CanNode(net::Network& network, net::NodeAddr self, Guid id, Point rep_point,
           CanConfig config, Rng rng);
@@ -125,6 +131,10 @@ class CanNode {
   [[nodiscard]] bool running() const noexcept { return running_; }
   [[nodiscard]] const CanStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CanConfig& config() const noexcept { return config_; }
+  /// Version of the claim this node advertises (zones and neighbor set).
+  [[nodiscard]] std::uint64_t claim_version() const noexcept {
+    return claim_version_;
+  }
 
   /// Bytes behind this node's zone set and neighbor tables (memory
   /// accounting; capacity snapshot, nothing on the hot path). Counts the
@@ -193,13 +203,28 @@ class CanNode {
   void on_route(net::NodeAddr from, const RouteReq& req);
   void on_join(net::NodeAddr from, const JoinReq& req);
   void on_zone_update(net::NodeAddr from, const ZoneUpdate& msg);
+  /// Every check a neighbor's claim runs, whether it arrives in a full
+  /// ZoneUpdate (`update`, whose claim is then stored in the sender's
+  /// entry) or is the claim already stored there, replayed on the sender's
+  /// request (`update` null): cancel the sender's takeover, drop suspects
+  /// the claim covers, settle a join grant, resolve a double claim,
+  /// introduce claimants that collide, and drop a non-adjacent sender.
+  /// `zones` must not live in neighbors_, which the checks mutate.
+  void check_claim(net::NodeAddr from, Peer sender,
+                   const std::vector<Zone>& zones, const ZoneUpdate* update);
+  /// True while check_claim on the claim stored for `from` would reproduce
+  /// its last quiet scan: our geometry is unchanged since that scan (the
+  /// entry's scan_epoch), and no takeover timer or grant to `from` is
+  /// outstanding, so every check finds nothing to do.
+  [[nodiscard]] bool claim_scan_current(net::NodeAddr from,
+                                        const NeighborState& ns) const;
   void on_dim_load(const DimLoadReport& msg);
   void on_neighbor_hello(net::NodeAddr from, const NeighborHello& msg);
 
   void start_maintenance();
   /// Maintenance round (DESIGN.md §16): contact every neighbor, with a full
-  /// snapshot only when its copy is stale and a hello otherwise, everything
-  /// to one neighbor coalesced into one wire message.
+  /// claim only when its copy is stale and a hello otherwise, everything to
+  /// one neighbor coalesced into one wire message.
   void do_update();
   /// Gap check, the last step of every update round: probe the first face
   /// of our zones not covered by any known zone; claim the space if routing
@@ -227,10 +252,11 @@ class CanNode {
   void prune_neighbors();
   void schedule_takeover(net::NodeAddr dead);
   void execute_takeover(net::NodeAddr dead);
-  /// Call after any zones_ mutation: advertise a new zone version and
-  /// invalidate every neighbor's cached quiet-scan epoch.
-  void note_zones_changed() noexcept {
-    ++zones_version_;
+  /// Call after any change to zones_ or to neighbors_' membership (or just
+  /// before one, with no snapshot built in between): advertise a new claim
+  /// version and invalidate every neighbor's cached quiet-scan epoch.
+  void note_claim_changed() noexcept {
+    ++claim_version_;
     ++geometry_epoch_;
   }
   [[nodiscard]] double total_volume() const noexcept;
@@ -243,13 +269,20 @@ class CanNode {
   // on_zone_update removes the double claim. Without this the two sides'
   // zone views never reconnect.
   void note_lost(Peer peer);
-  /// Resolve overlap between our zones and a lower-GUID claimant's: we
-  /// subtract theirs from ours. Returns false if we were left zoneless
-  /// (a full rejoin through the winner has been started).
-  bool resolve_conflict(const ZoneUpdate& msg);
+  /// `peer` is demonstrably alive and talking: it is no longer "lost".
+  void forget_lost(net::NodeAddr peer);
+  enum class Conflict {
+    kSettled,   // no overlap, or we carved theirs out of ours
+    kAnswered,  // we hold the lower GUID and sent our claim to the sender
+    kLostAll,   // we carved ourselves to nothing and are rejoining
+  };
+  /// Resolve overlap between our zones and `sender`'s claim: the lower GUID
+  /// keeps contested space. A higher-GUID claimant is answered with our
+  /// full claim, so it carves on receipt instead of at our next full claim.
+  Conflict resolve_conflict(Peer sender, const std::vector<Zone>& claim);
   /// Confirm or reclaim an outstanding join grant based on what the grantee
   /// now claims (see pending_grants_).
-  void settle_grant(net::NodeAddr from, const ZoneUpdate& msg);
+  void settle_grant(net::NodeAddr from, const std::vector<Zone>& claim);
 
   net::Network& net_;
   net::RpcEndpoint rpc_;
@@ -270,10 +303,12 @@ class CanNode {
   double load_ = 0.0;
   std::vector<double> upstream_load_;
   std::uint64_t update_seq_ = 0;  // outgoing ZoneUpdate counter
-  /// Bumped on every zones_ mutation; advertised in snapshots so receivers
-  /// can recognize an unchanged claim without comparing geometry.
-  std::uint64_t zones_version_ = 0;
-  /// Bumped whenever anything on_zone_update's geometry scans or the gap
+  /// Bumped on every change to zones_ or to neighbors_' membership;
+  /// advertised in snapshots and hellos so a neighbor holding it needs no
+  /// full claim, and receivers recognize an unchanged claim without
+  /// comparing geometry.
+  std::uint64_t claim_version_ = 0;
+  /// Bumped whenever anything check_claim's geometry scans or the gap
   /// scan read changes: our own zones_ or the neighbor table's membership /
   /// stored zone sets. A NeighborState whose scan_epoch (or a
   /// gap_clear_epoch_) matches is guaranteed that re-running those scans
@@ -283,11 +318,6 @@ class CanNode {
   static constexpr std::size_t kLostCap = 16;
   std::vector<Peer> lost_;  // candidates for zone-view re-linking
   std::size_t lost_cursor_ = 0;
-
-  /// Forced-full-refresh cadence: even a version-matched neighbor gets a
-  /// full snapshot every this-many contacts, bounding the staleness a lost
-  /// full update can cause.
-  static constexpr std::uint32_t kFullRefreshContacts = 4;
 
   // Join splits are not idempotent on their own: once we hand half our zone
   // to a joiner, a lost JoinResp leaves the half owned by nobody — we no

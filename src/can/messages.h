@@ -108,9 +108,10 @@ struct JoinResp final : net::Message {
   PGRID_MESSAGE_CLONE(JoinResp)
 };
 
-/// Periodic neighbor refresh: zones + load + (for takeover) the sender's
-/// neighbor addresses. Absence of these for `neighbor_timeout` marks the
-/// sender suspect.
+/// A node's full claim: zones + load + (for takeover) the sender's neighbor
+/// addresses. Sent only when the receiver does not hold the sender's current
+/// claim version, or pulls one (DESIGN.md §16); hellos carry every other
+/// contact.
 struct ZoneUpdate final : net::Message {
   static constexpr std::uint16_t kType = kZoneUpdate;
 
@@ -126,11 +127,11 @@ struct ZoneUpdate final : net::Message {
     Point rep_point;
     double load = 0.0;
     std::vector<net::NodeAddr> neighbor_addrs;
-    /// Bumped by the sender every time its zone set mutates. A receiver
-    /// that already holds this version knows `zones` is byte-identical to
-    /// what it stored, without comparing geometry. Derivable metadata, not
-    /// payload: excluded from payload_size().
-    std::uint64_t zones_version = 0;
+    /// The sender's claim version, bumped every time its zone set or its
+    /// neighbor set changes. A receiver that already holds this version
+    /// knows `zones` and `neighbor_addrs` equal what it stored, without
+    /// comparing them.
+    std::uint64_t claim_version = 0;
   };
 
   explicit ZoneUpdate(std::shared_ptr<const Snapshot> s)
@@ -151,8 +152,8 @@ struct ZoneUpdate final : net::Message {
     return snap->rep_point;
   }
   [[nodiscard]] double load() const noexcept { return snap->load; }
-  [[nodiscard]] std::uint64_t zones_version() const noexcept {
-    return snap->zones_version;
+  [[nodiscard]] std::uint64_t claim_version() const noexcept {
+    return snap->claim_version;
   }
   [[nodiscard]] const std::vector<net::NodeAddr>& neighbor_addrs()
       const noexcept {
@@ -185,36 +186,45 @@ struct NeighborHint final : net::Message {
 };
 
 /// Compact liveness/load beacon of the maintenance round (DESIGN.md §16):
-/// sent instead of a full ZoneUpdate when the receiver already holds
-/// the sender's current zone snapshot (tracked sender-side by zones_version).
-/// `request_full` asks the receiver to answer with a full ZoneUpdate — the
-/// pull half of loss recovery: a receiver whose stored snapshot version
-/// disagrees with the beacon's requests a resync instead of staying stale
-/// until the next forced refresh.
+/// sent instead of a full ZoneUpdate when the receiver already holds the
+/// sender's current claim version (tracked sender-side by
+/// full_sent_version). The receiver knows the sender by the message's
+/// source address, so the beacon names no sender: 25 bytes on the wire.
 struct NeighborHello final : net::Message {
   static constexpr std::uint16_t kType = kNeighborHello;
 
-  NeighborHello(Peer s, std::uint64_t v, std::uint64_t seq_, double l,
-                bool rf = false)
-      : Message(kType),
-        sender(s),
-        zones_version(v),
-        seq(seq_),
-        load(l),
-        request_full(rf) {}
+  /// Bits of the one flag byte.
+  enum Flag : std::uint8_t {
+    /// Answer with a full ZoneUpdate — the pull half of loss recovery: a
+    /// receiver whose stored claim version disagrees with the beacon's
+    /// requests a resync. Requests never chain.
+    kRequestFull = 1,
+    /// Re-run every check of a full claim on the stored copy of the
+    /// sender's claim (set on every CanNode::kFullRefreshContacts-th
+    /// contact). The stored claim is current, so this costs no bytes.
+    kReplay = 2,
+  };
 
-  Peer sender;
-  std::uint64_t zones_version;
+  NeighborHello(std::uint64_t v, std::uint64_t seq_, double l,
+                std::uint8_t f = 0)
+      : Message(kType), claim_version(v), seq(seq_), load(l), flags(f) {}
+
+  std::uint64_t claim_version;
   /// The sender's current outgoing ZoneUpdate counter. Receivers advance
   /// their stored per-neighbor seq watermark from it, so the staleness
   /// guard in on_zone_update keeps rejecting duplicated old snapshots even
   /// when hellos (not full updates) carry most of the contact cadence.
   std::uint64_t seq;
   double load;
-  bool request_full;
+  std::uint8_t flags;
+
+  [[nodiscard]] bool request_full() const noexcept {
+    return (flags & kRequestFull) != 0;
+  }
+  [[nodiscard]] bool replay() const noexcept { return (flags & kReplay) != 0; }
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + 8 + 8 + 8 + 1;
+    return 8 + 8 + 8 + 1;
   }
   PGRID_MESSAGE_CLONE(NeighborHello)
 };

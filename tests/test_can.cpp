@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "can/space.h"
+#include "common/flat_map.h"
 #include "grid/grid_system.h"
 #include "net/fault_plane.h"
 #include "net/network.h"
@@ -354,6 +355,130 @@ TEST(CanMaintenance, EveryNeighborHeardEveryRound) {
   }
   EXPECT_GT(contacts, 0u);
   EXPECT_EQ(violations, 0u);
+}
+
+// A neighbor holding our current claim version gets a hello, not a full
+// claim: once every node's first round has delivered its claim, a space
+// whose zones and neighbor sets do not change sends no ZoneUpdate at all,
+// and every neighbor is still heard every round (the bound of
+// EveryNeighborHeardEveryRound).
+TEST(CanMaintenance, SteadyRoundSendsNoZoneUpdate) {
+  Fixture fx{13};
+  fx.build(64);
+  const sim::SimTime period = fx.space.config().update_period;
+  const sim::SimTime bound = period + sim::SimTime::millis(80);
+  fx.simulator.run_until(period);  // every node's first round has run
+  const std::uint64_t updates = fx.net.stats().sent_of(kZoneUpdate);
+  const std::uint64_t hellos = fx.net.stats().sent_of(kNeighborHello);
+  EXPECT_GT(updates, 0u);
+  std::size_t violations = 0;
+  for (int round = 2; round <= 30; ++round) {
+    fx.simulator.run_until(period * round);
+    const sim::SimTime now = fx.simulator.now();
+    for (std::size_t i = 0; i < 64; ++i) {
+      for (const auto& [addr, ns] : fx.space.host(i).node().neighbors()) {
+        if (now - ns.phi.last_arrival() > bound) ++violations;
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_EQ(fx.net.stats().sent_of(kZoneUpdate), updates);
+  EXPECT_GT(fx.net.stats().sent_of(kNeighborHello), hellos);
+}
+
+// The claim version covers the neighbor set, so a node whose neighbors
+// change sends its new neighbor list in its next round, not at its
+// neighbors' next replay. A join changes the neighbor sets around the split
+// zone within one message latency; one round later each of those nodes has
+// sent its new list, and it arrives within another latency.
+TEST(CanMaintenance, NeighborListFreshAfterJoin) {
+  Fixture fx{14};
+  fx.build(32);
+  fx.settle(10);
+  const sim::SimTime period = fx.space.config().update_period;
+  const CanNode& boot = fx.space.host(5).node();
+  auto& joiner = fx.space.add_host(Guid::of(std::uint64_t{0x5157}),
+                                   random_point(fx.rng, 4));
+  bool joined = false;
+  sim::SimTime joined_at;
+  joiner.node().join(Peer{boot.addr(), boot.id()}, [&](bool ok) {
+    joined = ok;
+    joined_at = fx.simulator.now();
+  });
+  while (!joined && fx.simulator.now() < sim::SimTime::seconds(60)) {
+    fx.simulator.run_until(fx.simulator.now() + sim::SimTime::millis(10));
+  }
+  ASSERT_TRUE(joined);
+  fx.simulator.run_until(joined_at + period * 2 + sim::SimTime::millis(80));
+
+  FlatMap<net::NodeAddr, const CanNode*> by_addr;
+  for (std::size_t i = 0; i < fx.space.size(); ++i) {
+    by_addr.emplace(fx.space.host(i).addr(), &fx.space.host(i).node());
+  }
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < fx.space.size(); ++i) {
+    const CanNode& node = fx.space.host(i).node();
+    for (const auto& [addr, ns] : node.neighbors()) {
+      ++entries;
+      std::vector<net::NodeAddr> table;
+      for (const auto& entry : by_addr.at(addr)->neighbors()) {
+        table.push_back(entry.first);
+      }
+      EXPECT_EQ(ns.their_neighbors, table)
+          << "node " << node.addr() << "'s copy of " << addr << "'s list";
+    }
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_TRUE(fx.space.zones_tile_space());
+}
+
+// A full claim lost in flight leaves the neighbor at the old version only
+// until the sender's next hello: the neighbor sees the version differ and
+// pulls the claim. Here the owner's split for a joiner is announced into a
+// one-way cut that lasts one period, so the owner's next round may fall in
+// the cut too, and the pull takes three message latencies after the first
+// hello that gets through.
+TEST(CanMaintenance, LostFullClaimIsPulled) {
+  Fixture fx{15};
+  fx.build(16);
+  fx.settle(10);
+  const sim::SimTime period = fx.space.config().update_period;
+  CanNode& owner = fx.space.host(3).node();
+  std::vector<net::NodeAddr> others;
+  for (const auto& [addr, ns] : owner.neighbors()) others.push_back(addr);
+  ASSERT_FALSE(others.empty());
+  auto& joiner = fx.space.add_host(Guid::of(std::uint64_t{0x1057}),
+                                   owner.zones().front().center());
+  net::FaultPlane& fp = fx.net.fault_plane();
+  const auto cut = fp.cut("owner out", {owner.addr()}, others,
+                          /*one_way=*/true);
+  fp.heal_after(cut, period);
+  const sim::SimTime cut_at = fx.simulator.now();
+  const std::uint64_t before = owner.claim_version();
+  bool joined = false;
+  joiner.node().join(Peer{owner.addr(), owner.id()},
+                     [&](bool ok) { joined = ok; });
+  fx.simulator.run_until(cut_at + period);
+  ASSERT_TRUE(joined);
+  const std::uint64_t changed = owner.claim_version();
+  ASSERT_GT(changed, before);  // the split: a full claim into the cut
+
+  fx.simulator.run_until(cut_at + period * 2 + sim::SimTime::millis(3 * 80));
+  ASSERT_EQ(owner.claim_version(), changed) << "a later change sent it";
+  std::size_t pulled = 0;
+  for (const auto& [addr, ns] : owner.neighbors()) {
+    if (addr == joiner.addr()) continue;
+    for (std::size_t i = 0; i < fx.space.size(); ++i) {
+      if (fx.space.host(i).addr() != addr) continue;
+      const auto& table = fx.space.host(i).node().neighbors();
+      const auto it = table.find(owner.addr());
+      ASSERT_NE(it, table.end()) << addr;
+      EXPECT_EQ(it->second.claim_version, changed) << addr;
+      ++pulled;
+    }
+  }
+  EXPECT_GT(pulled, 0u);
+  EXPECT_TRUE(fx.space.zones_tile_space());
 }
 
 // Property sweep: routing matches the oracle across sizes and dims.

@@ -200,6 +200,57 @@ TEST(CanPartitionHeal, OneWayCutReconcilesToo) {
   EXPECT_NEAR(fx.live_volume(), 1.0, 1e-9);
 }
 
+// Two nodes whose claims overlap, each holding the other's current claim
+// version, with no full claim in flight: nothing sends a full claim, and
+// hellos alone never compare geometry. Every
+// CanNode::kFullRefreshContacts-th hello asks for a replay, which runs the
+// double-claim rule on the stored claim, so the overlap resolves within that
+// many rounds. A one-period cut drops the full claims of the first round
+// (their entries have no full_sent_version yet).
+TEST(CanPartitionHeal, StandingDoubleClaimResolvesByReplay) {
+  Fixture fx{13};
+  const sim::SimTime period = fx.space.config().update_period;
+  auto& a = fx.space.add_host(Guid::of(std::uint64_t{1}),
+                              Point{0.2, 0.5, 0.5, 0.5});
+  auto& b = fx.space.add_host(Guid::of(std::uint64_t{2}),
+                              Point{0.8, 0.5, 0.5, 0.5});
+  // The two zones cover the cube, so the gap check probes nothing.
+  const Zone za(Point{0.0, 0.0, 0.0, 0.0}, Point{0.6, 1.0, 1.0, 1.0});
+  const Zone zb(Point{0.4, 0.0, 0.0, 0.0}, Point{1.0, 1.0, 1.0, 1.0});
+  // install_state on a node that never ran advertises claim version 1.
+  auto entry = [](const CanNode& of, const Zone& zone, net::NodeAddr peer) {
+    NeighborState ns;
+    ns.id = of.id();
+    ns.zones.assign(1, zone);
+    ns.rep_point = of.rep_point();
+    ns.their_neighbors.assign(1, peer);
+    ns.claim_version = 1;
+    return ns;
+  };
+  FlatMap<net::NodeAddr, NeighborState> table_a;
+  FlatMap<net::NodeAddr, NeighborState> table_b;
+  table_a.emplace(b.addr(), entry(b.node(), zb, a.addr()));
+  table_b.emplace(a.addr(), entry(a.node(), za, b.addr()));
+  net::FaultPlane& fp = fx.net.fault_plane();
+  fp.heal_after(fp.cut("first round", {a.addr()}, {b.addr()}), period);
+  a.node().install_state({za}, std::move(table_a));
+  b.node().install_state({zb}, std::move(table_b));
+  ASSERT_EQ(a.node().claim_version(), 1u);
+  ASSERT_EQ(b.node().claim_version(), 1u);
+
+  const Point contested{0.5, 0.5, 0.5, 0.5};
+  fx.simulator.run_until(period);
+  ASSERT_EQ(fx.live_owners(contested), 2);
+  fx.simulator.run_until(period *
+                         (CanNode::kFullRefreshContacts + 2));
+  for (int t = 0; t < 500; ++t) {
+    const Point p = random_point(fx.rng, 4);
+    ASSERT_EQ(fx.live_owners(p), 1) << "sample " << t;
+  }
+  EXPECT_EQ(fx.live_owners(contested), 1);
+  EXPECT_TRUE(fx.space.zones_tile_space());
+}
+
 // A correlated crash of a node and every one of its neighbors leaves the
 // node's zone owned by nobody: the survivors only knew (and took over) the
 // dead neighbors, so no timeout ever fires for the zone beyond them. The gap

@@ -59,11 +59,16 @@ INSTANTIATE_TEST_SUITE_P(
     cell_name);
 
 // Cells that ended with two live owners of one CAN point before the gap
-// check ran in every update round (DESIGN.md §15).
+// check ran in every update round (DESIGN.md §15): can 33, can-push 132.
+// can 79 and can-push 133 end the same way when an unchanged claim is
+// never checked again: no replay on the hello and no answer from the
+// double claim's winner (DESIGN.md §16).
 INSTANTIATE_TEST_SUITE_P(
     Regressions, ChaosMatrix,
     testing::Values(KindSeed{MatchmakerKind::kCanBasic, 33},
-                    KindSeed{MatchmakerKind::kCanPush, 132}),
+                    KindSeed{MatchmakerKind::kCanPush, 132},
+                    KindSeed{MatchmakerKind::kCanBasic, 79},
+                    KindSeed{MatchmakerKind::kCanPush, 133}),
     cell_name);
 
 // Extended matrix: topology-correlated crash bursts and join-leave flapping
@@ -108,7 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
 // every update round. can-push 83 left a point with no owner while the gap
 // check probed only the first uncovered face: the faces of sliver zones
 // one ulp wide stay uncovered, and probing them every round starved the
-// real hole behind the node's other faces.
+// real hole behind the node's other faces. can 100 ends with two owners of
+// one CAN point when an unchanged claim is never checked again (DESIGN.md
+// §16).
 INSTANTIATE_TEST_SUITE_P(
     Regressions, SelfHealingChaosMatrix,
     testing::Values(KindSeed{MatchmakerKind::kCanBasic, 106},
@@ -116,7 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
                     KindSeed{MatchmakerKind::kRnTree, 155},
                     KindSeed{MatchmakerKind::kRnTree, 172},
                     KindSeed{MatchmakerKind::kCanBasic, 108},
-                    KindSeed{MatchmakerKind::kCanPush, 83}),
+                    KindSeed{MatchmakerKind::kCanPush, 83},
+                    KindSeed{MatchmakerKind::kCanBasic, 100}),
     cell_name);
 
 // Batched matrix: every maintenance round runs inside a batch scope, so
