@@ -28,7 +28,7 @@ ChordNode::~ChordNode() = default;
 void ChordNode::create() {
   running_ = true;
   predecessor_ = kNoPeer;
-  successors_.assign(1, self_peer());
+  set_successors({self_peer()}, 0);
   fingers_.fill(kNoPeer);
   rebuild_route_scan();
   start_maintenance();
@@ -38,7 +38,7 @@ void ChordNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
   PGRID_EXPECTS(bootstrap.valid());
   running_ = true;
   predecessor_ = kNoPeer;
-  successors_.clear();
+  set_successors({}, 0);
   fingers_.fill(kNoPeer);
   rebuild_route_scan();
   // Maintenance runs from the start: if the bootstrap lookup fails (the
@@ -63,7 +63,7 @@ void ChordNode::join(Peer bootstrap, std::function<void(bool ok)> done) {
     // joiner's GUID equals the key; guard against self-successorship.
     if (succ.addr == addr()) succ = kNoPeer;
     if (succ.valid()) {
-      successors_.assign(1, succ);
+      set_successors({succ}, 0);
       rebuild_route_scan();
       rpc_.send(succ.addr, std::make_unique<Notify>(self_peer()));
       if (done) done(true);
@@ -80,11 +80,11 @@ void ChordNode::crash() {
   maintenance_task_.reset();
   rpc_.cancel_all();
   predecessor_ = kNoPeer;
-  successors_.clear();
+  set_successors({}, 0);
   fingers_.fill(kNoPeer);
   rebuild_route_scan();
   lost_.clear();
-  lost_cursor_ = 0;
+  struck_.clear();
   detectors_.clear();
 }
 
@@ -92,7 +92,7 @@ void ChordNode::install_state(Peer predecessor, std::vector<Peer> successor_list
                               const std::array<Peer, kBits>& fingers) {
   running_ = true;
   predecessor_ = predecessor;
-  successors_ = std::move(successor_list);
+  set_successors(std::move(successor_list), 0);
   fingers_ = fingers;
   rebuild_route_scan();
   seed_predecessor_detector();
@@ -124,6 +124,10 @@ void ChordNode::do_maintenance_round() {
 // --- lookups ---------------------------------------------------------------
 
 void ChordNode::lookup(Guid key, LookupCallback cb) {
+  start_lookup(key, std::move(cb), kNoPeer);
+}
+
+void ChordNode::start_lookup(Guid key, LookupCallback cb, Peer check) {
   PGRID_EXPECTS(cb != nullptr);
   ++stats_.lookups_started;
   if (!running_ || successors_.empty()) {
@@ -135,7 +139,21 @@ void ChordNode::lookup(Guid key, LookupCallback cb) {
   st->key = key;
   st->cb = std::move(cb);
   st->retries_left = config_.lookup_retries;
-  lookup_restart(st);
+  if (check.valid()) {
+    st->check = true;
+    lookup_ask(st, check);
+  } else {
+    lookup_restart(st);
+  }
+}
+
+Peer ChordNode::local_owner(Guid key) const {
+  if (predecessor_.valid() && in_interval_oc(key, predecessor_.id, id_)) {
+    return self_peer();
+  }
+  const Peer succ = successor();
+  if (succ.addr == addr() || in_interval_oc(key, id_, succ.id)) return succ;
+  return kNoPeer;
 }
 
 void ChordNode::lookup_restart(const std::shared_ptr<LookupState>& st) {
@@ -143,18 +161,12 @@ void ChordNode::lookup_restart(const std::shared_ptr<LookupState>& st) {
     lookup_failed(st);
     return;
   }
-  // Local resolution: am I the owner, or is my immediate successor?
-  if (predecessor_.valid() && in_interval_oc(st->key, predecessor_.id, id_)) {
-    lookup_done(st, self_peer());
-    return;
-  }
-  const Peer succ = successor();
-  if (succ.addr == addr() || in_interval_oc(st->key, id_, succ.id)) {
-    lookup_done(st, succ);
+  if (const Peer owner = local_owner(st->key); owner.valid()) {
+    lookup_done(st, owner);
     return;
   }
   Peer target = closest_preceding(st->key, st->avoid);
-  if (!target.valid() || target.addr == addr()) target = succ;
+  if (!target.valid() || target.addr == addr()) target = successor();
   lookup_ask(st, target);
 }
 
@@ -174,19 +186,31 @@ void ChordNode::lookup_ask(const std::shared_ptr<LookupState>& st,
                   config_.rpc_attempts,
                   [this, st, target](net::MessagePtr reply) {
               if (!running_) return;
-              if (reply == nullptr) {
+              const auto* resp =
+                  reply ? net::msg_cast<NextHopResp>(reply.get()) : nullptr;
+              if (st->check && (resp == nullptr || !resp->done)) {
+                // The finger did not confirm itself: look the start up from
+                // here. An unanswered check judges nothing; the lookup's own
+                // hops carry the eviction rule.
+                st->check = false;
+                lookup_restart(st);
+                return;
+              }
+              if (resp == nullptr) {
                 // Dead hop: remember to route around it and retry. A peer
                 // heard from recently is only suspected — route around it
                 // this lookup, but keep its table entries until φ says the
-                // silence is implausible.
-                if (phi_allows_evict(target.addr)) {
-                  remove_failed(target);
-                } else {
-                  ++stats_.suspicions;
-                  PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect,
-                                    addr(),
-                                    static_cast<std::uint32_t>(target.addr),
-                                    1);
+                // silence is implausible. A hop another node named is not
+                // in this node's tables, so there is nothing to judge.
+                if (is_routing_peer(target.addr)) {
+                  if (hop_failure_evicts(target.addr)) {
+                    remove_failed(target);
+                  } else {
+                    ++stats_.suspicions;
+                    PGRID_TRACE_EVENT(
+                        net_.trace(), obs::EventKind::kPhiSuspect, addr(),
+                        static_cast<std::uint32_t>(target.addr), 1);
+                  }
                 }
                 if (!contains_id(st->avoid, target.id)) {
                   st->avoid.push_back(target.id);
@@ -198,7 +222,6 @@ void ChordNode::lookup_ask(const std::shared_ptr<LookupState>& st,
                 }
                 return;
               }
-              const auto* resp = net::msg_cast<NextHopResp>(reply.get());
               if (!resp->node.valid()) {
                 lookup_failed(st);
                 return;
@@ -265,10 +288,12 @@ void ChordNode::rebuild_route_scan() {
   }
   for (const Peer& p : successors_) push(p);
   // A peer displaced from the fingers and successors takes its detector
-  // with it, so the map stays O(table size).
+  // and its strike with it, so both stay O(table size).
   for (auto it = detectors_.begin(); it != detectors_.end();) {
     it = is_routing_peer(it->first) ? std::next(it) : detectors_.erase(it);
   }
+  std::erase_if(struck_,
+                [this](net::NodeAddr p) { return !is_routing_peer(p); });
 }
 
 bool ChordNode::is_routing_peer(net::NodeAddr peer) const noexcept {
@@ -311,8 +336,10 @@ bool ChordNode::handle(net::NodeAddr from, net::MessagePtr& msg) {
 void ChordNode::on_next_hop(net::NodeAddr from, const NextHopReq& req) {
   const Peer succ = successor();
   if (!succ.valid()) return;  // still joining; initiator will time out & retry
-  if (succ.addr == addr() || in_interval_oc(req.key, id_, succ.id)) {
-    rpc_.reply(from, req, std::make_unique<NextHopResp>(true, succ));
+  // What this node's own lookup would resolve locally it answers as done:
+  // for a finger check that is the finger confirming itself.
+  if (const Peer owner = local_owner(req.key); owner.valid()) {
+    rpc_.reply(from, req, std::make_unique<NextHopResp>(true, owner));
     return;
   }
   Peer next = closest_preceding(req.key, req.avoid);
@@ -328,8 +355,13 @@ void ChordNode::on_stabilize(net::NodeAddr from, const StabilizeReq& req) {
   // The request is also notify(sender). Applying it first lets the reply
   // name the sender as predecessor, which the sender then keeps as head.
   if (req.sender.addr == from) consider_predecessor(req.sender);
+  // The list goes only to a requester that does not hold its current
+  // version; no per-requester copy is kept.
+  std::vector<Peer> list;
+  if (req.version == 0 || req.version != succ_version_) list = successors_;
   rpc_.reply(from, req,
-             std::make_unique<StabilizeResp>(predecessor_, successors_));
+             std::make_unique<StabilizeResp>(predecessor_, succ_version_,
+                                             std::move(list)));
 }
 
 void ChordNode::consider_predecessor(Peer cand) {
@@ -357,19 +389,26 @@ void ChordNode::do_stabilize() {
   if (succ.addr == addr()) {
     // Singleton ring: adopt the predecessor as successor once one appears.
     if (predecessor_.valid() && predecessor_.addr != addr()) {
-      successors_.assign(1, predecessor_);
+      set_successors({predecessor_}, 0);
       rebuild_route_scan();
     }
     return;
   }
+  const std::uint32_t held = head_version_;
   rpc_.call_retry(succ.addr,
-                  [self = self_peer()] {
-                    return std::make_unique<StabilizeReq>(self);
+                  [self = self_peer(), held] {
+                    return std::make_unique<StabilizeReq>(self, held);
                   },
                   config_.rpc_timeout, config_.rpc_attempts,
-                  [this, succ](net::MessagePtr reply) {
+                  [this, succ, held](net::MessagePtr reply) {
               if (!running_) return;
               if (reply == nullptr) {
+                // Rounds overlap a call's attempts, so the calls sent while
+                // succ was head keep timing out after it is evicted.
+                if (std::find(successors_.begin(), successors_.end(), succ) ==
+                    successors_.end()) {
+                  return;
+                }
                 if (!phi_allows_evict(succ.addr)) {
                   // Suspect, don't evict: the successor has been heard from
                   // recently enough that this timeout is more likely loss or
@@ -384,32 +423,54 @@ void ChordNode::do_stabilize() {
                 }
                 remove_failed(succ);
                 if (successors_.empty()) {
-                  successors_.assign(1, self_peer());
+                  set_successors({self_peer()}, 0);
                   rebuild_route_scan();
                 }
                 return;
               }
               const auto* resp = net::msg_cast<StabilizeResp>(reply.get());
+              // No list: this node's copy of succ's list is still current.
+              const bool unchanged = held != 0 && resp->version == held;
               const Peer cand = resp->predecessor;
-              if (!cand.valid() || cand.addr == addr() ||
-                  !in_interval_oo(cand.id, id_, succ.id)) {
-                adopt_successor_list(succ, resp->successors);
+              const bool closer = cand.valid() && cand.addr != addr() &&
+                                  in_interval_oo(cand.id, id_, succ.id);
+              // A peer this node evicted comes back as head only once it
+              // answers a probe, sent now (revive makes it head), and not
+              // because succ has not cleared it yet.
+              LostPeer* lost = closer ? find_lost(cand) : nullptr;
+              if (lost != nullptr) probe_lost(*lost);
+              if (!closer || lost != nullptr) {
+                if (!unchanged) {
+                  adopt_successor_list(succ, resp->successors, resp->version);
+                }
                 return;  // the request already notified succ
               }
               // A closer successor slipped in between. succ stays right
               // behind it, and only the new head has not heard from us.
+              const std::vector<Peer>& rest =
+                  unchanged ? successors_ : resp->successors;
               std::vector<Peer> tail;
-              tail.reserve(resp->successors.size() + 1);
+              tail.reserve(rest.size() + 1);
               tail.push_back(succ);
-              tail.insert(tail.end(), resp->successors.begin(),
-                          resp->successors.end());
-              adopt_successor_list(cand, tail);
+              tail.insert(tail.end(), rest.begin(), rest.end());
+              adopt_successor_list(cand, tail, 0);
               rpc_.send(cand.addr, std::make_unique<Notify>(self_peer()));
             });
 }
 
-void ChordNode::adopt_successor_list(Peer head,
-                                     const std::vector<Peer>& tail) {
+bool ChordNode::set_successors(std::vector<Peer> list, std::uint32_t version) {
+  if (list == successors_) {
+    if (version != 0) head_version_ = version;
+    return false;
+  }
+  successors_ = std::move(list);
+  ++succ_version_;
+  head_version_ = version;
+  return true;
+}
+
+void ChordNode::adopt_successor_list(Peer head, const std::vector<Peer>& tail,
+                                     std::uint32_t version) {
   std::vector<Peer> fresh;
   fresh.reserve(config_.successor_list_len);
   fresh.push_back(head);
@@ -420,24 +481,32 @@ void ChordNode::adopt_successor_list(Peer head,
     fresh.push_back(p);
   }
   // Most rounds confirm the list they already hold: nothing to rebuild.
-  if (fresh == successors_) return;
-  successors_ = std::move(fresh);
-  rebuild_route_scan();
+  if (set_successors(std::move(fresh), version)) rebuild_route_scan();
 }
 
 void ChordNode::do_fix_fingers() {
   PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kOverlayMaintain, addr(),
                     obs::kNoActor, 2);
-  const auto i = next_finger_;
+  const auto i = static_cast<std::size_t>(next_finger_);
   next_finger_ = (next_finger_ + 1) % kBits;
   const Guid start{id_.value() + (std::uint64_t{1} << i)};
-  lookup(start, [this, i](Peer result, int /*hops*/) {
+  auto install = [this, i](Peer result, int /*hops*/) {
     if (!running_) return;
-    if (result.valid() && !(fingers_[static_cast<std::size_t>(i)] == result)) {
-      fingers_[static_cast<std::size_t>(i)] = result;
+    if (result.valid() && !(fingers_[i] == result)) {
+      fingers_[i] = result;
       rebuild_route_scan();
     }
-  });
+  };
+  // A start past the successor is usually still owned by the finger held
+  // for it, which confirms that in one hop; the multi-hop lookup runs only
+  // when it does not.
+  const Peer held = fingers_[i];
+  if (held.valid() && held.addr != addr() && !local_owner(start).valid()) {
+    ++stats_.finger_checks;
+    start_lookup(start, std::move(install), held);
+  } else {
+    lookup(start, std::move(install));
+  }
 }
 
 void ChordNode::do_check_predecessor() {
@@ -480,8 +549,9 @@ void ChordNode::remove_failed(Peer peer) {
     detectors_.erase(it);
   }
   note_lost(peer);
-  successors_.erase(std::remove(successors_.begin(), successors_.end(), peer),
-                    successors_.end());
+  std::vector<Peer> kept = successors_;
+  std::erase(kept, peer);
+  set_successors(std::move(kept), 0);
   for (auto& f : fingers_) {
     if (f == peer) f = kNoPeer;
   }
@@ -493,22 +563,45 @@ void ChordNode::remove_failed(Peer peer) {
 }
 
 void ChordNode::note_lost(Peer peer) {
-  if (!peer.valid() || peer.addr == addr()) return;
-  if (std::find(lost_.begin(), lost_.end(), peer) != lost_.end()) return;
+  if (!peer.valid() || peer.addr == addr() || find_lost(peer) != nullptr) {
+    return;
+  }
   if (lost_.size() >= kLostCap) lost_.erase(lost_.begin());
-  lost_.push_back(peer);
+  lost_.push_back(LostPeer{peer});
+}
+
+ChordNode::LostPeer* ChordNode::find_lost(Peer peer) noexcept {
+  const auto it = std::find_if(
+      lost_.begin(), lost_.end(),
+      [peer](const LostPeer& l) { return l.peer == peer; });
+  return it == lost_.end() ? nullptr : &*it;
 }
 
 void ChordNode::reconcile_lost() {
-  if (lost_.empty()) return;
-  const Peer peer = lost_[lost_cursor_++ % lost_.size()];
-  // One transmission only: this is a background probe that runs again next
-  // stabilize round; a lost datagram costs nothing.
+  for (LostPeer& l : lost_) {
+    if (--l.wait > 0) continue;
+    l.gap = std::min(l.gap * 2, kMaxProbeGap);
+    l.wait = l.gap;
+    probe_lost(l);
+  }
+}
+
+void ChordNode::probe_lost(LostPeer& lost) {
+  if (lost.probing) return;
+  lost.probing = true;
+  // One transmission only: a background probe that runs again on the
+  // peer's schedule; a lost datagram costs nothing.
+  const Peer peer = lost.peer;
   rpc_.call_retry(peer.addr, [] { return std::make_unique<PingReq>(); },
                   config_.rpc_timeout, 1, [this, peer](net::MessagePtr reply) {
-                    if (!running_ || reply == nullptr) return;
-                    lost_.erase(std::remove(lost_.begin(), lost_.end(), peer),
-                                lost_.end());
+                    if (!running_) return;
+                    if (reply == nullptr) {
+                      if (LostPeer* l = find_lost(peer)) l->probing = false;
+                      return;
+                    }
+                    std::erase_if(lost_, [peer](const LostPeer& l) {
+                      return l.peer == peer;
+                    });
                     revive(peer);
                   });
 }
@@ -523,14 +616,12 @@ void ChordNode::revive(Peer peer) {
     // The revived peer sits between us and our current successor — or we
     // degraded to a singleton — so it becomes the new head; stabilize
     // against it walks the rest of the merge.
-    successors_.erase(
-        std::remove(successors_.begin(), successors_.end(), peer),
-        successors_.end());
-    successors_.insert(successors_.begin(), peer);
-    if (successors_.size() > config_.successor_list_len) {
-      successors_.resize(config_.successor_list_len);
+    std::vector<Peer> list{peer};
+    for (const Peer& p : successors_) {
+      if (list.size() >= config_.successor_list_len) break;
+      if (!(p == peer)) list.push_back(p);
     }
-    rebuild_route_scan();
+    if (set_successors(std::move(list), 0)) rebuild_route_scan();
   }
   // Either way, let the peer consider us as predecessor; its own
   // reconciliation and stabilize rounds extend the merge from its side.
@@ -581,6 +672,22 @@ bool ChordNode::phi_allows_evict(net::NodeAddr peer) const {
                           config_.rpc_timeout * config_.rpc_attempts);
 }
 
+bool ChordNode::hop_failure_evicts(net::NodeAddr peer) {
+  if (const auto it = detectors_.find(peer);
+      it != detectors_.end() && it->second.seen()) {
+    return phi_allows_evict(peer);
+  }
+  // Most fingers never send this node Chord traffic, so they have no
+  // history, and one failed call under loss is no proof of death. Any
+  // answer in between gives the peer history, so two strikes in a row are
+  // consecutive failures; a born-dead peer still goes on its second.
+  if (std::find(struck_.begin(), struck_.end(), peer) != struck_.end()) {
+    return true;  // remove_failed's route-scan rebuild drops the strike
+  }
+  struck_.push_back(peer);
+  return false;
+}
+
 void ChordNode::refresh_successor_tail() {
   if (successors_.size() < 2) return;
   const Peer head = successors_.front();
@@ -589,7 +696,7 @@ void ChordNode::refresh_successor_tail() {
   // A read-only pull: this node is not backup's predecessor, so the
   // request offers no notify.
   rpc_.call_retry(
-      backup.addr, [] { return std::make_unique<StabilizeReq>(kNoPeer); },
+      backup.addr, [] { return std::make_unique<StabilizeReq>(kNoPeer, 0); },
       config_.rpc_timeout, 1, [this, head, backup](net::MessagePtr reply) {
         if (!running_ || reply == nullptr) return;
         // Only apply if the suspected head is still in place: an eviction
@@ -600,7 +707,7 @@ void ChordNode::refresh_successor_tail() {
         tail.reserve(resp->successors.size() + 1);
         tail.push_back(backup);
         for (const Peer& p : resp->successors) tail.push_back(p);
-        adopt_successor_list(head, tail);
+        adopt_successor_list(head, tail, 0);
         ++stats_.succ_refreshes;
         PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kAntiEntropyRepair,
                           addr(), static_cast<std::uint32_t>(backup.addr), 3);

@@ -6,10 +6,13 @@
 // Iterative lookups (the initiator drives hop-by-hop), successor lists for
 // failure resilience, and the standard stabilize / fix-fingers / check-
 // predecessor maintenance, run as one batched round per stabilize period
-// and driven by the discrete-event simulator. The round is lean: the
-// StabilizeReq carries the notify, and the predecessor is pinged only when
-// its φ detector has gone suspect, so a steady round sends a StabilizeReq
-// and receives its reply (plus the finger fixes' lookup hops).
+// and driven by the discrete-event simulator. The round sends state only
+// when it changed: the StabilizeReq carries the notify and the reply carries
+// the successor list only when the requester's copy is out of date; the
+// predecessor is pinged only when its φ detector has gone suspect; a finger
+// is confirmed by one hop to the finger itself; and lost peers are probed
+// on backed-off schedules. A steady round sends a StabilizeReq and receives
+// its list-less reply, plus one NextHopReq per remote finger fix.
 //
 // A ChordNode does not register itself on the network: its owner (a test
 // host or a grid node that stacks more protocols on the same address)
@@ -61,6 +64,7 @@ struct ChordStats {
   std::uint64_t evictions = 0;       // remove_failed invocations
   std::uint64_t succ_refreshes = 0;  // suspicion-triggered tail refreshes
   std::uint64_t predecessor_clears = 0;  // a valid predecessor was dropped
+  std::uint64_t finger_checks = 0;  // remote finger fixes begun at the finger
 };
 
 class ChordNode {
@@ -69,6 +73,9 @@ class ChordNode {
   /// Finger fixes per maintenance round: a full table refresh every
   /// kBits / kFingerFixesPerRound rounds.
   static constexpr int kFingerFixesPerRound = 2;
+  /// Longest gap, in maintenance rounds, between two probes of one lost
+  /// peer; the gap doubles from one round up to this.
+  static constexpr std::uint32_t kMaxProbeGap = 32;
 
   /// Lookup continuation: result is successor(key), or invalid on failure;
   /// hops counts remote next-hop queries issued (0 if resolved locally).
@@ -122,9 +129,9 @@ class ChordNode {
   /// Bytes behind this node's routing state (successor list, route scan,
   /// lost-peer ring) for memory accounting; capacity snapshot, not hot path.
   [[nodiscard]] std::size_t table_memory_bytes() const noexcept {
-    return (successors_.capacity() + route_scan_.capacity() +
-            lost_.capacity()) *
-               sizeof(Peer) +
+    return (successors_.capacity() + route_scan_.capacity()) * sizeof(Peer) +
+           lost_.capacity() * sizeof(LostPeer) +
+           struck_.capacity() * sizeof(net::NodeAddr) +
            detectors_.capacity() *
                sizeof(std::pair<net::NodeAddr, PhiDetector>) +
            sizeof(fingers_);
@@ -159,7 +166,15 @@ class ChordNode {
     int hops = 0;
     int retries_left = 0;
     std::vector<Guid> avoid;
+    /// The first hop is a finger check: only a done answer ends it there,
+    /// and a next-hop answer or a timeout restarts from this node.
+    bool check = false;
   };
+  /// lookup(), or with `check` valid a finger check: ask `check` first.
+  void start_lookup(Guid key, LookupCallback cb, Peer check);
+  /// successor(key) when this node can name it without asking anyone (the
+  /// key lies in (predecessor, self] or (self, successor]), else kNoPeer.
+  [[nodiscard]] Peer local_owner(Guid key) const;
   void lookup_restart(const std::shared_ptr<LookupState>& st);
   void lookup_ask(const std::shared_ptr<LookupState>& st, Peer target);
   void lookup_done(const std::shared_ptr<LookupState>& st, Peer result);
@@ -178,12 +193,23 @@ class ChordNode {
   /// StabilizeReq to the successor, which also notifies it; an explicit
   /// Notify follows only when the reply reveals a closer successor.
   void do_stabilize();
+  /// Fix the next finger: locally when its start lies before the successor,
+  /// else by a finger check, which falls back to a full lookup.
   void do_fix_fingers();
   /// Ping the predecessor only when its detector is suspect (a live one
   /// is heard every round through its StabilizeReq); clear it when the
   /// ping fails and φ allows eviction.
   void do_check_predecessor();
-  void adopt_successor_list(Peer head, const std::vector<Peer>& tail);
+  /// Install [head] + tail, deduplicated and truncated; `version` as for
+  /// set_successors.
+  void adopt_successor_list(Peer head, const std::vector<Peer>& tail,
+                            std::uint32_t version);
+  /// Every successors_ write goes through here. A changed list bumps
+  /// succ_version_ and sets head_version_ to `version` (the head's version
+  /// the list was copied at, 0 for a local edit or a new head); an
+  /// unchanged one keeps head_version_ unless `version` is non-zero.
+  /// Returns whether the list changed; the caller rebuilds the route scan.
+  bool set_successors(std::vector<Peer> list, std::uint32_t version);
   void remove_failed(Peer peer);
   /// Recompute route_scan_ and drop the φ detectors of peers that are no
   /// longer routing peers; must follow any fingers_/successors_/
@@ -202,6 +228,10 @@ class ChordNode {
   /// True when the detector agrees the peer may be evicted, or when there
   /// is no arrival history to judge by (a timed-out RPC then condemns it).
   [[nodiscard]] bool phi_allows_evict(net::NodeAddr peer) const;
+  /// The eviction rule for a lookup hop whose call failed: a peer with
+  /// arrival history is judged by φ; one without is struck, and evicted
+  /// only by its second consecutive failed call.
+  [[nodiscard]] bool hop_failure_evicts(net::NodeAddr peer);
   /// Give a newly installed predecessor a detector with one arrival, so
   /// the suspect check judges it from now on (a detector that has seen
   /// nothing never turns suspect).
@@ -214,13 +244,24 @@ class ChordNode {
   void refresh_successor_tail();
 
   // --- partition-heal reconciliation ------------------------------------
-  // Peers evicted by remove_failed are remembered (bounded) and probed one
-  // per stabilize round. A probe answered means the peer was not dead but
-  // unreachable — a healed partition or a restarted node — and the two
-  // rings that formed in the meantime must merge again. Without this,
-  // stabilize alone never reconnects disjoint rings.
+  // Peers evicted by remove_failed are remembered (bounded) and probed,
+  // each on its own schedule: one round after the eviction, then at gaps
+  // doubling up to kMaxProbeGap rounds, and at once when a StabilizeResp
+  // names one as the closer successor. A probe answered means the peer was
+  // not dead but unreachable — a healed partition or a restarted node — and
+  // the two rings that formed in the meantime must merge again. Without
+  // this, stabilize alone never reconnects disjoint rings.
+  struct LostPeer {
+    Peer peer;
+    std::uint32_t gap = 1;   // rounds between its scheduled probes, doubling
+    std::uint32_t wait = 1;  // rounds until its next scheduled probe
+    bool probing = false;    // a probe to it is out
+  };
   void note_lost(Peer peer);
+  [[nodiscard]] LostPeer* find_lost(Peer peer) noexcept;
   void reconcile_lost();
+  /// Ping a lost peer unless a probe to it is out; an answer revives it.
+  void probe_lost(LostPeer& lost);
   void revive(Peer peer);
 
   net::Network& net_;
@@ -232,6 +273,12 @@ class ChordNode {
   bool running_ = false;
   Peer predecessor_ = kNoPeer;
   std::vector<Peer> successors_;  // front() is the successor
+  /// Bumped by every change to successors_ and never reset, not even by
+  /// crash(), so a number a requester copied cannot name a later list.
+  std::uint32_t succ_version_ = 0;
+  /// The head's succ_version_ that successors_ was last copied at, sent in
+  /// each StabilizeReq; 0 after a local edit or a head change.
+  std::uint32_t head_version_ = 0;
   std::array<Peer, kBits> fingers_{};
   int next_finger_ = 0;
   /// closest_preceding's scan order — fingers_ high-to-low then successors_
@@ -243,8 +290,11 @@ class ChordNode {
   std::vector<Peer> route_scan_;
 
   static constexpr std::size_t kLostCap = 16;
-  std::vector<Peer> lost_;  // candidates for ring-merge probing
-  std::size_t lost_cursor_ = 0;
+  std::vector<LostPeer> lost_;  // candidates for ring-merge probing
+
+  /// Routing peers without arrival history whose last lookup hop failed
+  /// (hop_failure_evicts); pruned with the detectors.
+  std::vector<net::NodeAddr> struck_;
 
   /// Per-peer arrival history for φ-accrual, fed by Chord messages only and
   /// held only for routing peers (is_routing_peer): note_alive admits no

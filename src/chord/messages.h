@@ -21,8 +21,11 @@ enum MsgType : std::uint16_t {
   kPingResp = net::kTagChordBase + 6,
 };
 
-/// "Who is the next hop toward `key`?" The receiver answers with either its
-/// successor (done) or its closest preceding finger for the key.
+/// "Who is the next hop toward `key`?" The receiver answers done when it
+/// can resolve the key itself (the key lies in (its predecessor, itself] or
+/// (itself, its successor]), and otherwise names its closest preceding
+/// finger for the key. A finger check asks the held finger this question
+/// about the finger's start: done(finger) confirms it in one hop.
 struct NextHopReq final : net::Message {
   static constexpr std::uint16_t kType = kNextHopReq;
 
@@ -63,25 +66,39 @@ struct NextHopResp final : net::Message {
 struct StabilizeReq final : net::Message {
   static constexpr std::uint16_t kType = kStabilizeReq;
 
-  explicit StabilizeReq(Peer s) : Message(kType), sender(s) {}
+  StabilizeReq(Peer s, std::uint32_t v)
+      : Message(kType), sender(s), version(v) {}
 
   Peer sender;
+  /// The receiver's successor-list version that the sender's list was last
+  /// copied at; 0 when it holds no such copy (a new head, a local edit, a
+  /// read-only pull), which always fetches the list.
+  std::uint32_t version;
 
-  [[nodiscard]] std::size_t payload_size() const noexcept override { return 12; }
+  [[nodiscard]] std::size_t payload_size() const noexcept override {
+    return 12 + 4;
+  }
   PGRID_MESSAGE_CLONE(StabilizeReq)
 };
 
+/// The successor list rides only when the requester does not hold its
+/// current version: `version` equal to the request's (non-zero) one means
+/// "unchanged", and `successors` is then empty.
 struct StabilizeResp final : net::Message {
   static constexpr std::uint16_t kType = kStabilizeResp;
 
-  StabilizeResp(Peer pred, std::vector<Peer> succs)
-      : Message(kType), predecessor(pred), successors(std::move(succs)) {}
+  StabilizeResp(Peer pred, std::uint32_t v, std::vector<Peer> succs)
+      : Message(kType),
+        predecessor(pred),
+        version(v),
+        successors(std::move(succs)) {}
 
   Peer predecessor;
+  std::uint32_t version;
   std::vector<Peer> successors;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + successors.size() * 12;
+    return 12 + 4 + successors.size() * 12;
   }
   PGRID_MESSAGE_CLONE(StabilizeResp)
 };

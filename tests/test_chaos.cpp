@@ -115,7 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
 // one ulp wide stay uncovered, and probing them every round starved the
 // real hole behind the node's other faces. can 100 ends with two owners of
 // one CAN point when an unchanged claim is never checked again (DESIGN.md
-// §16).
+// §16). rn-tree 95 ended with a diverged Chord ring (two nodes each naming
+// the other's true successor) before Chord maintenance sent state only on
+// change (DESIGN.md §16).
 INSTANTIATE_TEST_SUITE_P(
     Regressions, SelfHealingChaosMatrix,
     testing::Values(KindSeed{MatchmakerKind::kCanBasic, 106},
@@ -124,7 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
                     KindSeed{MatchmakerKind::kRnTree, 172},
                     KindSeed{MatchmakerKind::kCanBasic, 108},
                     KindSeed{MatchmakerKind::kCanPush, 83},
-                    KindSeed{MatchmakerKind::kCanBasic, 100}),
+                    KindSeed{MatchmakerKind::kCanBasic, 100},
+                    KindSeed{MatchmakerKind::kRnTree, 95}),
     cell_name);
 
 // Batched matrix: every maintenance round runs inside a batch scope, so

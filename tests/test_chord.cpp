@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <set>
 
+#include "chord/messages.h"
 #include "chord/ring.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -245,6 +249,83 @@ TEST(ChordMaintenance, SteadyRoundSendsOnlyStabilize) {
   EXPECT_GE(st.sent_of(kStabilizeResp) + 64u, st.sent_of(kStabilizeReq));
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(fx.ring.host(i).node().stats().predecessor_clears, 0u);
+  }
+}
+
+// A host that shows the test each message before its node handles it.
+struct TapHost final : net::MessageHandler {
+  TapHost(net::Network& network, Guid id, Rng rng)
+      : addr(network.add_handler(this)),
+        node(network, addr, id, ChordConfig{}, rng) {}
+
+  void on_message(net::NodeAddr from, net::MessagePtr msg) override {
+    if (tap) tap(from, *msg);
+    node.handle(from, msg);
+  }
+
+  net::NodeAddr addr;
+  ChordNode node;
+  std::function<void(net::NodeAddr, const net::Message&)> tap;
+};
+
+// Maintenance sends only what changed: in a steady ring every finger fix
+// past the successor is one NextHopReq to the held finger, which owns the
+// start and confirms itself, and a StabilizeResp carries the successor list
+// only in each node's first round, since no list changes afterwards. The
+// tables still match the oracle at the end.
+TEST(ChordMaintenance, SteadyRingSendsOnlyWhatChanged) {
+  sim::Simulator simulator;
+  net::Network net(simulator, Rng{7},
+                   net::LatencyModel{sim::SimTime::millis(20),
+                                     sim::SimTime::millis(80)});
+  constexpr std::size_t kNodes = 64;
+  std::vector<std::unique_ptr<TapHost>> hosts;
+  std::vector<ChordNode*> nodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    hosts.push_back(std::make_unique<TapHost>(
+        net, Guid::of(std::uint64_t{0xC0FFEE} + i * 7919), Rng{100 + i}));
+    nodes.push_back(&hosts.back()->node);
+  }
+  const std::vector<Peer> ring = wire_ring_instantly(nodes);
+  std::vector<const ChordNode*> oracle(nodes.begin(), nodes.end());
+
+  std::map<net::NodeAddr, int> lists_received;
+  std::uint64_t next_hop_reqs = 0;
+  for (auto& h : hosts) {
+    h->tap = [&, me = h->addr](net::NodeAddr, const net::Message& m) {
+      if (m.type() == kStabilizeResp &&
+          !net::msg_cast<StabilizeResp>(&m)->successors.empty()) {
+        ++lists_received[me];
+      }
+      if (m.type() == kNextHopReq) {
+        ++next_hop_reqs;
+        // Asked about a key it owns: a check, not a routing hop.
+        const Guid key = net::msg_cast<NextHopReq>(&m)->key;
+        EXPECT_EQ(ring_oracle_successor(oracle, key).addr, me);
+      }
+    };
+  }
+  simulator.run_until(sim::SimTime::seconds(120));
+
+  std::uint64_t checks = 0;
+  for (const ChordNode* n : nodes) checks += n->stats().finger_checks;
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(net.stats().sent_of(kNextHopReq), checks);
+  EXPECT_GT(next_hop_reqs, 0u);
+  for (const ChordNode* n : nodes) {
+    EXPECT_EQ(lists_received[n->addr()], 1) << "node " << n->addr();
+    for (int f = 0; f < ChordNode::kBits; ++f) {
+      const Guid start{n->id().value() + (std::uint64_t{1} << f)};
+      EXPECT_EQ(n->finger(f), ring_successor(ring, start)) << "finger " << f;
+    }
+    const std::vector<Peer>& succs = n->successor_list();
+    ASSERT_EQ(succs.size(), ChordConfig{}.successor_list_len);
+    Guid cursor = n->id();
+    for (const Peer& p : succs) {
+      const Peer want = ring_successor(ring, Guid{cursor.value() + 1});
+      EXPECT_EQ(p, want);
+      cursor = want.id;
+    }
   }
 }
 

@@ -1,10 +1,16 @@
 // Chord under failures: successor-list repair, routing around dead nodes,
-// predecessor cleanup, rejoin after crash.
+// predecessor cleanup, rejoin after crash, lost-peer probing and the ring
+// merge after a partition heals.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "chord/messages.h"
 #include "chord/ring.h"
+#include "net/fault_plane.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -130,6 +136,11 @@ TEST(ChordFailure, PredecessorClearedAfterCrash) {
 // at most 0.75 s, 4 s). The dead node's own predecessor then reaches this
 // node through its stabilize round, whose request carries the notify: it is
 // installed within 20 s of the crash although no Notify is ever delivered.
+// No node evicts the dead node twice: the stabilize calls still out when
+// its predecessor evicts it time out with nothing left to judge, and while
+// this node has not cleared it, this node's StabilizeResp still names it,
+// but a peer in the lost-peer ring becomes head again only by answering a
+// probe.
 TEST(ChordFailure, CrashedPredecessorClearedAndReplacedWithoutNotify) {
   Fixture fx{9};
   fx.build(16);
@@ -163,10 +174,16 @@ TEST(ChordFailure, CrashedPredecessorClearedAndReplacedWithoutNotify) {
   ASSERT_GE(installed, 0.0) << "live predecessor never installed";
   EXPECT_LE(installed, 20.0);
   EXPECT_EQ(fx.net.stats().delivered_of(kNotify), notifies);
+  // The crashed node is the only dead one, and no message is lost.
+  for (std::size_t i = 0; i < fx.ring.size(); ++i) {
+    EXPECT_LE(fx.ring.host(i).node().stats().evictions, 1u) << "host " << i;
+  }
 }
 
 // Eviction needs a failed RPC, not silence alone: at 5% loss a predecessor
-// whose StabilizeReqs go missing is probed, answers, and is kept.
+// whose StabilizeReqs go missing is probed, answers, and is kept. Nor does
+// loss evict a finger: one with no arrival history is evicted only by a
+// second consecutive failed lookup hop, so no live peer is evicted at all.
 TEST(ChordFailure, LossyRingNeverClearsALivePredecessor) {
   sim::Simulator simulator;
   net::Network net(simulator, Rng{10},
@@ -180,11 +197,87 @@ TEST(ChordFailure, LossyRingNeverClearsALivePredecessor) {
   ring.wire_instantly();
   simulator.run_until(sim::SimTime::seconds(300));
   EXPECT_GT(net.stats().messages_dropped_loss, 0u);
+  std::uint64_t evictions = 0;
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const ChordNode& node = ring.host(i).node();
     EXPECT_EQ(node.stats().predecessor_clears, 0u) << "host " << i;
     EXPECT_TRUE(node.predecessor().valid()) << "host " << i;
+    evictions += node.stats().evictions;
   }
+  EXPECT_EQ(evictions, 0u);
+}
+
+// A peer that stays dead is probed on a doubling schedule, not every round:
+// each node that evicted it sends at most log2(kMaxProbeGap) + 1 probes
+// while the gap grows, then one per kMaxProbeGap rounds. Its successor also
+// pings it as a suspect predecessor, one call per round until the first
+// call fails; a call of two attempts lasts at most 8 s at the default
+// config, so that is at most 9 calls of 2 pings.
+TEST(ChordFailure, DeadPeerProbesBackOff) {
+  Fixture fx{14};
+  fx.build(64);
+  fx.settle(30);
+  const std::uint64_t pings_before = fx.net.stats().sent_of(kPingReq);
+  fx.ring.crash(17);
+  constexpr double kWindow = 600.0;
+  fx.settle(kWindow);
+  std::uint64_t evictors = 0;
+  for (std::size_t i = 0; i < fx.ring.size(); ++i) {
+    const std::uint64_t e = fx.ring.host(i).node().stats().evictions;
+    EXPECT_LE(e, 1u) << "host " << i;
+    if (e > 0) ++evictors;
+  }
+  EXPECT_GT(evictors, 0u);
+  const double rounds = kWindow / ChordConfig{}.stabilize_period.sec();
+  const double per_evictor = std::log2(ChordNode::kMaxProbeGap) + 1 +
+                             rounds / ChordNode::kMaxProbeGap;
+  const std::uint64_t pings = fx.net.stats().sent_of(kPingReq) - pings_before;
+  EXPECT_LE(static_cast<double>(pings),
+            static_cast<double>(evictors) * per_evictor + 18)
+      << evictors << " evictors";
+}
+
+// What reconcile_lost is for: a 32-node ring cut into halves for 120 s
+// closes into one ring per half, since each half evicts the other, and
+// stabilize alone never reconnects disjoint rings. After the heal each lost
+// peer is probed within kMaxProbeGap rounds; the answer puts it back as
+// head, and stabilize walks the rest of the merge, given 30 s here.
+TEST(ChordPartitionHeal, RingsMergeAfterHeal) {
+  Fixture fx{12};
+  fx.build(32);
+  fx.settle(30);
+  std::vector<net::NodeAddr> side_a, side_b;
+  for (std::size_t i = 0; i < fx.ring.size(); ++i) {
+    (i % 2 == 0 ? side_a : side_b).push_back(fx.ring.host(i).addr());
+  }
+  net::FaultPlane& fp = fx.net.fault_plane();
+  const auto cut = fp.cut("halves", side_a, side_b);
+  fx.settle(120);
+  // Every node's successor now sits on its own side.
+  for (std::size_t i = 0; i < fx.ring.size(); ++i) {
+    const Peer succ = fx.ring.host(i).node().successor();
+    ASSERT_TRUE(succ.valid());
+    const auto& own = i % 2 == 0 ? side_a : side_b;
+    EXPECT_NE(std::find(own.begin(), own.end(), succ.addr), own.end())
+        << "host " << i;
+  }
+  fp.heal(cut);
+  const sim::SimTime healed_at = fx.simulator.now();
+  const sim::SimTime bound =
+      ChordConfig{}.stabilize_period * ChordNode::kMaxProbeGap +
+      sim::SimTime::seconds(30);
+  auto merged = [&] {
+    for (std::size_t i = 0; i < fx.ring.size(); ++i) {
+      const ChordNode& node = fx.ring.host(i).node();
+      if (node.successor().id !=
+          fx.ring.oracle_successor(Guid{node.id().value() + 1}).id) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!merged() && fx.simulator.now() - healed_at < bound) fx.settle(1);
+  EXPECT_TRUE(merged()) << "not merged " << bound.sec() << " s after heal";
 }
 
 TEST(ChordFailure, CrashedNodeRejoins) {
