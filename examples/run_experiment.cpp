@@ -1,8 +1,9 @@
 // General-purpose experiment runner: the tool a downstream user reaches for
 // first. Configures a whole grid experiment from the command line (or a
-// key=value config file), runs it, prints a report with an ASCII wait-time
-// histogram, and optionally exports per-job CSV, the exact workload trace
-// for replay, a Chrome/Perfetto event trace, and a time-series CSV.
+// key=value config file), runs it, prints a report with per-kind traffic and
+// an ASCII wait-time histogram, and optionally exports per-job CSV, the
+// exact workload trace for replay, a Chrome/Perfetto event trace, and a
+// time-series CSV.
 //
 //   ./run_experiment --matchmaker=rn-tree --nodes=500 --jobs=2000
 //   ./run_experiment --config=experiment.cfg --csv=jobs.csv --workload-out=wl.csv
@@ -38,6 +39,7 @@
 #include "common/config.h"
 #include "grid/grid_system.h"
 #include "metrics/report.h"
+#include "obs/trace.h"
 #include "workload/trace.h"
 
 using namespace pgrid;
@@ -180,17 +182,24 @@ int main(int argc, char** argv) {
   }
   std::printf("makespan: %.0fs   load (jobs/node) cv: %.2f\n",
               c.makespan_sec(), c.jobs_per_node().cv());
+  const net::NetworkStats& ns = system.net_stats();
+  const auto jobs = static_cast<double>(w.spec.job_count);
   std::printf("network: %llu msgs sent / %llu delivered (%.1f per job), "
               "%.1f MB sent / %.1f MB delivered\n",
-              static_cast<unsigned long long>(
-                  system.net_stats().messages_sent),
-              static_cast<unsigned long long>(
-                  system.net_stats().messages_delivered),
-              static_cast<double>(system.net_stats().messages_sent) /
-                  static_cast<double>(w.spec.job_count),
-              static_cast<double>(system.net_stats().bytes_sent) / 1048576.0,
-              static_cast<double>(system.net_stats().bytes_delivered) /
-                  1048576.0);
+              static_cast<unsigned long long>(ns.messages_sent),
+              static_cast<unsigned long long>(ns.messages_delivered),
+              static_cast<double>(ns.messages_sent) / jobs,
+              static_cast<double>(ns.bytes_sent) / 1048576.0,
+              static_cast<double>(ns.bytes_delivered) / 1048576.0);
+  // One line per kind that carried traffic. An enveloped message counts
+  // under its own kind; net/Batch counts the envelopes and their headers.
+  for (std::size_t k = 0; k < net::NetworkStats::kKindSlots; ++k) {
+    if (ns.sent_by_kind[k] == 0) continue;
+    std::printf("  %-20s %9.2f msgs/job %10.1f B/job\n",
+                obs::span_tag_name(static_cast<std::uint16_t>(k)).c_str(),
+                static_cast<double>(ns.sent_by_kind[k]) / jobs,
+                static_cast<double>(ns.bytes_by_kind[k]) / jobs);
+  }
   std::printf("profile: %s\n", system.profile().summary().c_str());
   const auto stats = system.aggregate_node_stats();
   if (stats.run_recoveries + stats.owner_recoveries + stats.jobs_killed_quota) {

@@ -429,6 +429,7 @@ const net::NetworkStats& GridSystem::net_stats() const {
     for (std::size_t k = 0; k < net::NetworkStats::kKindSlots; ++k) {
       merged_stats_.sent_by_kind[k] += s.sent_by_kind[k];
       merged_stats_.delivered_by_kind[k] += s.delivered_by_kind[k];
+      merged_stats_.bytes_by_kind[k] += s.bytes_by_kind[k];
     }
   }
   return merged_stats_;

@@ -149,9 +149,14 @@ void Network::send(NodeAddr from, NodeAddr to, MessagePtr msg) {
     const auto* batch = msg_cast<Batch>(msg.get());
     ++stats_.batches_sent;
     stats_.batch_parts_sent += batch->parts.size();
+    stats_.bytes_by_kind[tag & (NetworkStats::kKindSlots - 1)] += kHeaderBytes;
     for (const MessagePtr& part : batch->parts) {
-      ++stats_.sent_by_kind[part->type() & (NetworkStats::kKindSlots - 1)];
+      const std::size_t k = part->type() & (NetworkStats::kKindSlots - 1);
+      ++stats_.sent_by_kind[k];
+      stats_.bytes_by_kind[k] += Batch::kPartHeaderBytes + part->payload_size();
     }
+  } else {
+    stats_.bytes_by_kind[tag & (NetworkStats::kKindSlots - 1)] += wire_bytes;
   }
 
   if (!bus_->alive(from)) {

@@ -74,6 +74,11 @@ struct NetworkStats {
   static constexpr std::size_t kKindSlots = 2048;
   std::array<std::uint64_t, kKindSlots> sent_by_kind{};
   std::array<std::uint64_t, kKindSlots> delivered_by_kind{};
+  /// Wire bytes sent per kind, summing to bytes_sent: a lone message
+  /// counts whole under its own kind, an enveloped part counts its framing
+  /// (Batch::kPartHeaderBytes) and payload under the part's kind, and the
+  /// envelope's header counts under Batch.
+  std::array<std::uint64_t, kKindSlots> bytes_by_kind{};
 
   [[nodiscard]] std::uint64_t sent_of(std::uint16_t tag) const noexcept {
     return sent_by_kind[tag & (kKindSlots - 1)];

@@ -67,10 +67,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Human-readable name for a span's message tag, so Perfetto slices read
-/// "grid/DispatchJob" rather than raw type numbers. The tables mirror the
-/// per-layer MsgType enums; unknown tags fall back to "<layer>+<offset>".
-/// Tag 0 marks a root span (no message — a client-side request lifetime).
+// Message tag names per layer, for span_tag_name. The tables mirror the
+// per-layer MsgType enums.
 const char* kChordTagNames[] = {"NextHopReq",    "NextHopResp",
                                 "StabilizeReq",  "StabilizeResp",
                                 "Notify",        "PingReq",
@@ -85,6 +83,9 @@ const char* kGridTagNames[] = {
     "DispatchJob", "DispatchResp",  "Heartbeat",  "HeartbeatAck",
     "JobDone",    "Result",         "OwnerHandoff", "OwnerHandoffAck",
     "JobFailed",  "WalkProbe",      "WalkResult"};
+const char* kNetTagNames[] = {"Batch"};
+
+}  // namespace
 
 std::string span_tag_name(std::uint16_t tag) {
   struct Layer {
@@ -100,6 +101,7 @@ std::string span_tag_name(std::uint16_t tag) {
       {0x300, "rn", kRnTreeTagNames,
        sizeof(kRnTreeTagNames) / sizeof(char*)},
       {0x400, "grid", kGridTagNames, sizeof(kGridTagNames) / sizeof(char*)},
+      {0x600, "net", kNetTagNames, sizeof(kNetTagNames) / sizeof(char*)},
   };
   if (tag == 0) return "request";
   for (const Layer& l : kLayers) {
@@ -118,8 +120,6 @@ std::string span_tag_name(std::uint16_t tag) {
   std::snprintf(buf, sizeof buf, "tag 0x%x", tag);
   return buf;
 }
-
-}  // namespace
 
 const char* event_kind_name(EventKind kind) noexcept {
   const auto i = static_cast<std::size_t>(kind);

@@ -78,6 +78,13 @@ enum class EventKind : std::uint8_t {
 [[nodiscard]] const char* event_kind_name(EventKind kind) noexcept;
 [[nodiscard]] const char* event_kind_category(EventKind kind) noexcept;
 
+/// Human-readable name of a message tag, "<layer>/<Kind>" (e.g.
+/// "grid/DispatchJob"), so Perfetto slices and per-kind tables read names
+/// rather than raw type numbers. Unknown tags fall back to
+/// "<layer>+<offset>". Tag 0 marks a root span (no message — a client-side
+/// request lifetime) and reads "request".
+[[nodiscard]] std::string span_tag_name(std::uint16_t tag);
+
 /// One trace record. Field meaning is kind-specific by convention:
 /// `node` is the acting node's address, `peer` the other party (or
 /// kNoActor), `tag` a message type / sub-kind / hop count, `a` a correlation

@@ -16,11 +16,12 @@ inline constexpr std::size_t kMaxResources = 4;
 /// each slot, e.g. CPU GHz / memory GB / disk GB).
 using Caps = std::array<double, kMaxResources>;
 
-/// Subtree summary, aggregated bottom-up.
+/// Subtree summary, aggregated bottom-up. It holds only what search reads,
+/// so it changes only when a capability or the membership does: a node
+/// pushes it to its parent on change (DESIGN.md §4).
 struct Aggregate {
   Caps max_caps{};          // per-resource maximum in the subtree
   std::uint32_t nodes = 0;  // live nodes summarized
-  double min_load = 0.0;    // smallest queue length seen in the subtree
 
   /// Fold another aggregate (or a leaf's self-aggregate) into this one.
   void merge(const Aggregate& other) noexcept {
@@ -32,9 +33,11 @@ struct Aggregate {
     for (std::size_t r = 0; r < kMaxResources; ++r) {
       if (other.max_caps[r] > max_caps[r]) max_caps[r] = other.max_caps[r];
     }
-    if (other.min_load < min_load) min_load = other.min_load;
     nodes += other.nodes;
   }
+
+  friend bool operator==(const Aggregate&, const Aggregate&) noexcept =
+      default;
 };
 
 /// A job's resource constraints: per-resource minimum, or unconstrained.

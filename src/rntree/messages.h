@@ -22,9 +22,9 @@ enum MsgType : std::uint16_t {
   kAggAck = net::kTagRnTreeBase + 4,
 };
 
-/// Child -> parent, periodic RPC: "here is my subtree's summary". Carries
-/// the key the child resolved its parent from, so the receiver can say
-/// whether it still represents that key.
+/// Child -> parent RPC: "here is my subtree's summary", sent when it changed
+/// and as a liveness refresh. Carries the key the child resolved its parent
+/// from, so the receiver can say whether it still represents that key.
 struct AggUpdate final : net::Message {
   static constexpr std::uint16_t kType = kAggUpdate;
 
@@ -36,7 +36,7 @@ struct AggUpdate final : net::Message {
   Guid parent_key;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + kMaxResources * 8 + 12 + 8;
+    return 12 + kMaxResources * 8 + 4 + 8;
   }
   PGRID_MESSAGE_CLONE(AggUpdate)
 };

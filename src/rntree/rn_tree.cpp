@@ -68,9 +68,7 @@ void RnTreeService::stop() {
   children_.clear();
   seen_tokens_.clear();
   seen_cursor_ = 0;
-  parent_ = kNoPeer;
-  parent_key_ = Guid{};
-  parent_stale_ = false;
+  set_parent(kNoPeer, Guid{});
 }
 
 // --- tree structure ---------------------------------------------------------
@@ -103,9 +101,14 @@ Guid RnTreeService::parent_key() const {
 
 void RnTreeService::install_parent(Peer parent) {
   if (is_root()) return;
+  set_parent(parent, parent_key());
+}
+
+void RnTreeService::set_parent(Peer parent, Guid key) {
   parent_ = parent;
-  parent_key_ = parent_key();
+  parent_key_ = key;
   parent_stale_ = false;
+  acked_ = Aggregate{};
 }
 
 Aggregate RnTreeService::subtree_aggregate() const {
@@ -113,7 +116,6 @@ Aggregate RnTreeService::subtree_aggregate() const {
   Aggregate agg;
   agg.max_caps = local.caps;
   agg.nodes = 1;
-  agg.min_load = local.load;
   for (const auto& [addr, child] : children_) {
     agg.merge(child.aggregate);
   }
@@ -124,14 +126,14 @@ void RnTreeService::expire_children() {
   const auto now = net_.simulator().now();
   for (auto it = children_.begin(); it != children_.end();) {
     const ChildState& c = it->second;
-    const bool expired = c.phi.evict(now, config_.child_expiry);
-    if (!expired && now - c.phi.last_arrival() > config_.child_expiry) {
-      // A fixed child_expiry would have dropped this child; φ judges its
+    const bool expired = c.phi.evict(now, child_deadline());
+    if (!expired && now - c.phi.last_arrival() > child_deadline()) {
+      // A fixed deadline would have dropped this child; φ judges its
       // slowed cadence survivable, keeping the subtree aggregate intact.
       ++stats_.suspicions;
       PGRID_TRACE_EVENT(net_.trace(), obs::EventKind::kPhiSuspect,
                         chord_.addr(), it->first, 3, 0,
-                        c.phi.phi(now, config_.child_expiry));
+                        c.phi.phi(now, child_deadline()));
     }
     it = expired ? children_.erase(it) : std::next(it);
   }
@@ -152,29 +154,35 @@ void RnTreeService::do_aggregation_push() {
   // none, the key moved with our predecessor, or the last push failed.
   const Guid key = parent_key();
   if (parent_.valid() && key == parent_key_ && !parent_stale_) {
-    push_aggregate();
+    // Push only what the parent lacks, plus a periodic refresh that keeps
+    // this child alive in the parent's table.
+    const Aggregate agg = subtree_aggregate();
+    if (agg == acked_ && ++quiet_rounds_ < kRefreshRounds) return;
+    push_aggregate(agg);
     return;
   }
   chord_.lookup(key, [this, key](chord::Peer parent, int /*hops*/) {
     if (!running_) return;
     if (!parent.valid() || parent.addr == chord_.addr()) return;
-    parent_ = parent;
-    parent_key_ = key;
-    parent_stale_ = false;
-    push_aggregate();
+    set_parent(parent, key);
+    push_aggregate(subtree_aggregate());
   });
 }
 
-void RnTreeService::push_aggregate() {
+void RnTreeService::push_aggregate(const Aggregate& agg) {
+  quiet_rounds_ = 0;
   const Peer to = parent_;
   rpc_.call(to.addr,
-            std::make_unique<AggUpdate>(chord_.self_peer(),
-                                        subtree_aggregate(), parent_key_),
-            config_.rpc_timeout, [this, to](net::MessagePtr reply) {
-              const bool kept =
-                  reply != nullptr &&
-                  net::msg_cast<AggAck>(reply.get())->represents;
-              if (!kept && parent_ == to) parent_stale_ = true;
+            std::make_unique<AggUpdate>(chord_.self_peer(), agg, parent_key_),
+            config_.rpc_timeout, [this, to, agg](net::MessagePtr reply) {
+              if (parent_ != to) return;
+              if (reply != nullptr &&
+                  net::msg_cast<AggAck>(reply.get())->represents) {
+                acked_ = agg;
+              } else {
+                acked_ = Aggregate{};
+                parent_stale_ = true;
+              }
             });
 }
 

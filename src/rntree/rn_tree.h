@@ -9,11 +9,13 @@
 // region, found with one Chord lookup and kept until it may be wrong.
 // Expected height is O(log N) for uniform GUIDs.
 //
-// Each node periodically pushes its subtree aggregate (per-resource maxima,
-// node count, minimum load) to its parent, which acknowledges whether it
-// still represents the child's parent key. Matchmaking searches are DFS
-// tokens: pruned by child aggregates, ascending toward the root, continuing
-// until k candidates are found (the paper's "extended search").
+// Each node pushes its subtree aggregate (per-resource maxima and node
+// count) to its parent when it changed, when the parent is new or did not
+// acknowledge the last push, and every kRefreshRounds-th round as a liveness
+// refresh; the parent acknowledges whether it still represents the child's
+// parent key. Matchmaking searches are DFS tokens: pruned by child
+// aggregates, ascending toward the root, continuing until k candidates are
+// found (the paper's "extended search").
 
 #include <cstdint>
 #include <functional>
@@ -36,8 +38,8 @@ namespace pgrid::rntree {
 struct RnTreeConfig {
   sim::SimTime aggregation_period = sim::SimTime::seconds(2.0);
   /// φ's deadline for a child with fewer than PhiDetector::kMinSamples
-  /// observed push gaps: unheard for this long, it is dropped from the
-  /// aggregate.
+  /// observed push gaps is child_expiry × RnTreeService::kRefreshRounds:
+  /// unheard for that long, it is dropped from the aggregate.
   sim::SimTime child_expiry = sim::SimTime::seconds(7.0);
   sim::SimTime rpc_timeout = sim::SimTime::seconds(2.0);
   /// Deadline for a whole search before reporting what we have (nothing).
@@ -52,7 +54,7 @@ struct RnTreeStats {
   std::uint64_t tokens_processed = 0;
   /// Duplicate token instances suppressed (network-level duplication).
   std::uint64_t tokens_deduplicated = 0;
-  /// Suspicion-rounds: children past the fixed expiry retained by φ.
+  /// Suspicion-rounds: children past the scaled child_expiry retained by φ.
   std::uint64_t suspicions = 0;
   RunningStats search_hops;
   RunningStats candidates_found;
@@ -60,6 +62,11 @@ struct RnTreeStats {
 
 class RnTreeService {
  public:
+  /// Liveness refresh cadence: a node whose aggregate its parent already
+  /// acknowledged pushes it again after this many silent rounds (CAN's
+  /// replay cadence). It also scales the parent's child deadline.
+  static constexpr std::uint32_t kRefreshRounds = 4;
+
   struct LocalInfo {
     Caps caps{};
     double load = 0.0;
@@ -140,10 +147,19 @@ class RnTreeService {
   /// True iff `key` lies in (predecessor, self]: this node is its Chord
   /// successor as far as local information can tell.
   [[nodiscard]] bool represents(Guid key) const;
+  /// Adopt `parent`, resolved from `key`, forgetting what the previous
+  /// parent acknowledged.
+  void set_parent(Peer parent, Guid key);
   void do_aggregation_push();
-  /// Push the subtree aggregate to parent_ as an RPC; a missing or refusing
-  /// AggAck marks the parent stale for the next round.
-  void push_aggregate();
+  /// Push `agg` to parent_ as an RPC. An AggAck that still represents the
+  /// key records `agg` as acknowledged; a missing or refusing one forgets
+  /// the acknowledged copy and marks the parent stale for the next round.
+  void push_aggregate(const Aggregate& agg);
+  /// The silence after which a child with too few push gaps for φ is
+  /// dropped: a live child pushes at least every kRefreshRounds rounds.
+  [[nodiscard]] sim::SimTime child_deadline() const noexcept {
+    return config_.child_expiry * kRefreshRounds;
+  }
   void expire_children();
 
   /// Process the token at this node: record self if satisfying, then move
@@ -171,6 +187,11 @@ class RnTreeService {
   Peer parent_ = kNoPeer;
   Guid parent_key_;
   bool parent_stale_ = false;
+  // The aggregate parent_ last acknowledged (nodes == 0: none), and the
+  // rounds since the last push; a round pushes only when the aggregate
+  // differs from acked_ or the refresh is due.
+  Aggregate acked_;
+  std::uint32_t quiet_rounds_ = 0;
   // Flat sorted table: scanned on every token descent and aggregation push;
   // iteration order (sorted by address) matches the std::map it replaced.
   FlatMap<net::NodeAddr, ChildState> children_;

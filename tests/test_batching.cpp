@@ -97,6 +97,28 @@ TEST_F(BatchScopeTest, PerKindStatsChargeInnerMessages) {
   EXPECT_EQ(net.stats().messages_delivered, 1u);
 }
 
+TEST_F(BatchScopeTest, PerKindBytesSumToBytesSent) {
+  {
+    const BatchScope scope(net, addr_a);
+    net.send(addr_a, addr_b, std::make_unique<PartMsg>(1));
+    net.send(addr_a, addr_b, std::make_unique<OtherMsg>());
+    net.send(addr_a, addr_c, std::make_unique<PartMsg>(2));  // goes lone
+  }
+  net.send(addr_b, addr_c, std::make_unique<OtherMsg>());  // no scope
+  simulator.run();
+  const NetworkStats& s = net.stats();
+  // Lone messages count whole; an enveloped part counts its framing and
+  // payload; the envelope's own header counts under Batch.
+  constexpr std::size_t kHeader = Network::kHeaderBytes;
+  constexpr std::size_t kPart = Batch::kPartHeaderBytes;
+  EXPECT_EQ(s.bytes_by_kind[PartMsg::kType], (kPart + 4) + (kHeader + 4));
+  EXPECT_EQ(s.bytes_by_kind[OtherMsg::kType], (kPart + 1) + (kHeader + 1));
+  EXPECT_EQ(s.bytes_by_kind[Batch::kType], kHeader);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t b : s.bytes_by_kind) sum += b;
+  EXPECT_EQ(sum, s.bytes_sent);
+}
+
 TEST_F(BatchScopeTest, NestedScopesFlushAtOutermostClose) {
   {
     const BatchScope outer(net, addr_a);

@@ -1,6 +1,6 @@
 // RN-Tree: trie-region construction (levels, parents, single root), O(log N)
 // height, aggregation correctness vs an oracle, the cached parent and its
-// re-resolution, and the extended DFS search.
+// re-resolution, the push-on-change rule, and the extended DFS search.
 
 #include <gtest/gtest.h>
 
@@ -159,6 +159,17 @@ struct Fixture {
     return true;
   }
 
+  /// Per-resource maximum over every host: what the root aggregate must say.
+  Caps oracle_max_caps() const {
+    Caps oracle{};
+    for (const auto& h : hosts) {
+      for (std::size_t r = 0; r < kMaxResources; ++r) {
+        oracle[r] = std::max(oracle[r], h->caps[r]);
+      }
+    }
+    return oracle;
+  }
+
   RnHost* root() {
     for (auto& h : hosts) {
       if (net.alive(h->addr()) && h->tree().is_root()) return h.get();
@@ -278,26 +289,94 @@ TEST(RnTreeAggregation, RootAggregateCoversAllNodes) {
   ASSERT_NE(root, nullptr);
   const Aggregate agg = root->tree().subtree_aggregate();
   EXPECT_EQ(agg.nodes, 48u);
-  // Oracle max capability per resource.
-  Caps oracle{};
-  for (auto& h : fx.hosts) {
-    for (std::size_t r = 0; r < kMaxResources; ++r) {
-      oracle[r] = std::max(oracle[r], h->caps[r]);
-    }
-  }
+  const Caps oracle = fx.oracle_max_caps();
   for (std::size_t r = 0; r < kMaxResources; ++r) {
     EXPECT_DOUBLE_EQ(agg.max_caps[r], oracle[r]) << "resource " << r;
   }
 }
 
-TEST(RnTreeAggregation, MinLoadPropagates) {
-  Fixture fx{6};
-  fx.build(32, 30.0);
-  for (auto& h : fx.hosts) h->load = 10.0;
-  fx.hosts[17]->load = 1.5;
-  fx.settle(30);
+// --- push on change ---------------------------------------------------------
+
+TEST(RnTreeMaintenance, SteadyTreeSendsOnlyRefreshes) {
+  Fixture fx{31};
+  fx.build(64);
+  // Nothing changes once the tree has settled, so each of the 63 non-root
+  // nodes pushes only its liveness refresh, once per kRefreshRounds rounds.
+  // Nodes pushing every round would send 63 × 40.
+  constexpr int kRounds = 40;
+  const std::uint64_t before = fx.net.stats().sent_of(kAggUpdate);
+  fx.settle(kRounds * RnTreeConfig{}.aggregation_period.sec());
+  const double sent =
+      static_cast<double>(fx.net.stats().sent_of(kAggUpdate) - before);
+  const double per_node =
+      static_cast<double>(kRounds) / RnTreeService::kRefreshRounds;
+  EXPECT_GE(sent, 63 * (per_node - 1));
+  EXPECT_LE(sent, 63 * (per_node + 1));
+
   ASSERT_NE(fx.root(), nullptr);
-  EXPECT_DOUBLE_EQ(fx.root()->tree().subtree_aggregate().min_load, 1.5);
+  const Aggregate agg = fx.root()->tree().subtree_aggregate();
+  EXPECT_EQ(agg.nodes, 64u);
+  EXPECT_EQ(agg.max_caps, fx.oracle_max_caps());
+}
+
+TEST(RnTreeMaintenance, ChangeReachesRootWithoutWaitingForRefresh) {
+  Fixture fx{32};
+  fx.build(64);
+  // The deepest node: its change climbs the whole height.
+  RnHost* deepest = nullptr;
+  int height = 0;
+  for (auto& h : fx.hosts) {
+    int depth = 0;
+    for (RnHost* c = h.get(); !c->tree().is_root(); ++depth) {
+      c = fx.host_by_addr(c->tree().cached_parent().addr);
+      ASSERT_NE(c, nullptr);
+      ASSERT_LT(depth, 64);
+    }
+    if (depth > height) {
+      height = depth;
+      deepest = h.get();
+    }
+  }
+  ASSERT_NE(deepest, nullptr);
+  ASSERT_GE(height, 2);
+
+  // Each level forwards the change in its next round, one period and one
+  // latency later, so the root sees it within height + 1 rounds; waiting
+  // for refreshes would take up to kRefreshRounds × height.
+  deepest->caps[3] = 9.0;
+  const double period = RnTreeConfig{}.aggregation_period.sec();
+  EXPECT_TRUE(fx.settle_until(
+      [&] {
+        return fx.root()->tree().subtree_aggregate().max_caps[3] == 9.0;
+      },
+      (height + 1) * period));
+}
+
+TEST(RnTreeMaintenance, CrashedLeafDropsOutWithinScaledExpiry) {
+  Fixture fx{33};
+  fx.build(64);
+  RnHost* leaf = nullptr;
+  for (auto& h : fx.hosts) {
+    if (!h->tree().is_root() && h->tree().child_count() == 0) {
+      leaf = h.get();
+      break;
+    }
+  }
+  ASSERT_NE(leaf, nullptr);
+  fx.crash(*leaf);
+  // The parent drops the silent leaf within child_expiry × kRefreshRounds,
+  // and the smaller count climbs one level per round.
+  const RnTreeConfig config;
+  const double deadline =
+      (config.child_expiry * RnTreeService::kRefreshRounds).sec() +
+      10 * config.aggregation_period.sec();
+  EXPECT_TRUE(fx.settle_until(
+      [&] {
+        RnHost* root = fx.root();
+        return root != nullptr &&
+               root->tree().subtree_aggregate().nodes == 63u;
+      },
+      deadline));
 }
 
 // --- cached parent ----------------------------------------------------------
@@ -349,8 +428,10 @@ TEST(RnTreeCachedParent, ReResolvesParentAfterCrash) {
 
   fx.crash(*victim);
   // Until Chord has repaired the ring, a lookup can still return the dead
-  // node. From then on, a child notices within one unacknowledged push
-  // (rpc_timeout) and looks its parent up in the round after.
+  // node. A child notices at its next push, at most kRefreshRounds rounds
+  // after the crash, once rpc_timeout passes unanswered, and looks its
+  // parent up in the round after. The repair (about 9 s here) outlasts the
+  // refresh gap, so by then every child's push to the victim is out.
   ASSERT_TRUE(fx.settle_until([&] { return fx.ring_repaired(); }, 60));
   const RnTreeConfig config;
   fx.settle((config.rpc_timeout + config.aggregation_period * 2).sec());
@@ -511,20 +592,17 @@ TEST(RnTreeQuery, ConstraintAlgebra) {
   EXPECT_FALSE(q.possibly_satisfied_by(agg));
 }
 
-TEST(RnTreeAggregateUnit, MergeTakesMaxAndMin) {
+TEST(RnTreeAggregateUnit, MergeTakesMaxAndSumsNodes) {
   Aggregate a;
   a.max_caps = Caps{1.0, 5.0, 0.0, 0.0};
   a.nodes = 2;
-  a.min_load = 3.0;
   Aggregate b;
   b.max_caps = Caps{4.0, 2.0, 0.0, 0.0};
   b.nodes = 3;
-  b.min_load = 1.0;
   a.merge(b);
   EXPECT_EQ(a.nodes, 5u);
   EXPECT_DOUBLE_EQ(a.max_caps[0], 4.0);
   EXPECT_DOUBLE_EQ(a.max_caps[1], 5.0);
-  EXPECT_DOUBLE_EQ(a.min_load, 1.0);
   // Merging an empty aggregate changes nothing.
   a.merge(Aggregate{});
   EXPECT_EQ(a.nodes, 5u);

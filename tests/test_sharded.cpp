@@ -295,6 +295,7 @@ TEST(ShardedGrid, FixedSeedOutcomesIdenticalAcrossShardCounts) {
       EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
       EXPECT_EQ(a.sent_by_kind, b.sent_by_kind);
       EXPECT_EQ(a.delivered_by_kind, b.delivered_by_kind);
+      EXPECT_EQ(a.bytes_by_kind, b.bytes_by_kind);
       expect_jobs_identical(reference.collector(), system.collector(),
                             w.jobs.size(), label);
       EXPECT_DOUBLE_EQ(reference.collector().makespan_sec(),
